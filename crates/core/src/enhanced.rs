@@ -80,8 +80,8 @@ struct PalRun {
     output: Option<Vec<u8>>,
 }
 
-/// First page handed out by the built-in bump allocator (the low pages
-/// belong to the "OS image").
+/// First page handed out by [`PalRegions`] (the low pages belong to the
+/// "OS image").
 const FIRST_PAL_PAGE: u32 = 64;
 
 /// Bytes reserved in each PAL region for persistent state beyond image
@@ -96,13 +96,78 @@ struct FaultCursor {
     timer_count: u32,
 }
 
+/// Where `SLAUNCH` and the legacy fallback place PAL regions. A bump
+/// pointer hands out never-used pages first, exactly as if no region
+/// ever came back; once it would pass the end of DRAM, a launch takes the
+/// first fit among the regions that `SFREE`, `SKILL` and finished legacy
+/// fallbacks released, splitting a larger one and keeping the rest.
+#[derive(Debug)]
+struct PalRegions {
+    next_page: u32,
+    /// Released regions, sorted by first page, adjacent ones merged.
+    released: Vec<PageRange>,
+}
+
+impl PalRegions {
+    fn new() -> Self {
+        PalRegions {
+            next_page: FIRST_PAL_PAGE,
+            released: Vec::new(),
+        }
+    }
+
+    /// The region a launch of `pages` pages would get from `installed`
+    /// pages of DRAM, and whether an earlier PAL released it. Takes
+    /// nothing, so a launch that fails afterwards leaves no trace here.
+    fn find(&self, pages: u32, installed: u32) -> Option<(PageRange, bool)> {
+        if self
+            .next_page
+            .checked_add(pages)
+            .is_some_and(|end| end <= installed)
+        {
+            return Some((PageRange::new(PageIndex(self.next_page), pages), false));
+        }
+        self.released
+            .iter()
+            .find(|r| r.count >= pages)
+            .map(|r| (PageRange::new(r.start, pages), true))
+    }
+
+    /// Takes `range`, which [`PalRegions::find`] returned.
+    fn take(&mut self, range: PageRange) {
+        if range.start.0 == self.next_page {
+            self.next_page += range.count;
+        } else if let Some(i) = self.released.iter().position(|r| r.start == range.start) {
+            let rest = self.released[i].count - range.count;
+            if rest == 0 {
+                self.released.remove(i);
+            } else {
+                self.released[i] = PageRange::new(PageIndex(range.start.0 + range.count), rest);
+            }
+        }
+    }
+
+    /// Gives back the region of a PAL whose pages are `ALL` again.
+    fn release(&mut self, range: PageRange) {
+        let i = self.released.partition_point(|r| r.start.0 < range.start.0);
+        self.released.insert(i, range);
+        let end = |r: &PageRange| r.start.0 + r.count;
+        if i + 1 < self.released.len() && end(&self.released[i]) == self.released[i + 1].start.0 {
+            self.released[i].count += self.released.remove(i + 1).count;
+        }
+        if i > 0 && end(&self.released[i - 1]) == self.released[i].start.0 {
+            self.released[i - 1].count += self.released.remove(i).count;
+        }
+    }
+}
+
 /// SEA on the proposed hardware. See the crate-level example.
 #[derive(Debug)]
 pub struct EnhancedSea {
     platform: SecurePlatform,
     pals: HashMap<u64, PalRun>,
     next_id: u64,
-    next_page: u32,
+    regions: PalRegions,
     fault_plan: Option<FaultPlan>,
     fault_cursors: HashMap<u64, FaultCursor>,
 }
@@ -125,7 +190,7 @@ impl EnhancedSea {
             platform,
             pals: HashMap::new(),
             next_id: 0,
-            next_page: FIRST_PAL_PAGE,
+            regions: PalRegions::new(),
             fault_plan: None,
             fault_cursors: HashMap::new(),
         })
@@ -147,7 +212,7 @@ impl EnhancedSea {
     }
 
     /// A full power loss: every live PAL evaporates (their pages, SECBs,
-    /// and CPU bindings are volatile), the bump allocator and fault
+    /// and CPU bindings are volatile), the region allocator and fault
     /// cursors rewind, the machine rebuilds its volatile half, and the
     /// TPM applies v1.2 reset semantics — NVRAM (and thus the sealed
     /// session journal) survives. Returns the reboot's virtual cost,
@@ -155,7 +220,7 @@ impl EnhancedSea {
     /// [`TraceEvent::PlatformReset`].
     pub fn power_cycle(&mut self) -> SimDuration {
         self.pals.clear();
-        self.next_page = FIRST_PAL_PAGE;
+        self.regions = PalRegions::new();
         self.fault_cursors.clear();
         self.platform.power_cycle()
     }
@@ -173,6 +238,26 @@ impl EnhancedSea {
     /// The machine's observability handle (cheap clone of an `Arc`).
     fn obs(&self) -> Obs {
         self.platform.machine().obs().clone()
+    }
+
+    /// Finds a region of `pages` pages for a PAL of `needed` bytes,
+    /// without taking it. A released region is zeroed first, so the new
+    /// PAL never sees an earlier PAL's bytes in place of its empty state.
+    fn find_region(&mut self, pages: u32, needed: usize) -> Result<PageRange, SeaError> {
+        let memory = self.platform.machine_mut().memory_mut();
+        let (range, released) =
+            self.regions
+                .find(pages, memory.num_pages())
+                .ok_or(SeaError::RegionTooSmall {
+                    needed,
+                    available: 0,
+                })?;
+        if released {
+            for p in range.iter() {
+                memory.zero_page(p)?;
+            }
+        }
+        Ok(range)
     }
 
     /// Cost of one suspend/resume pair on this platform (§5.7 expects
@@ -245,14 +330,7 @@ impl EnhancedSea {
         let image = pal.image();
         let region_bytes = image.len() + input.len() + STATE_HEADROOM;
         let pages = (region_bytes as u32).div_ceil(PAGE_SIZE as u32);
-        let range = PageRange::new(PageIndex(self.next_page), pages);
-        let installed = self.platform.machine().memory().num_pages();
-        if range.start.0 + range.count > installed {
-            return Err(SeaError::RegionTooSmall {
-                needed: region_bytes,
-                available: 0,
-            });
-        }
+        let range = self.find_region(pages, region_bytes)?;
 
         // OS stages image and input into the (still-open) region.
         let machine = self.platform.machine_mut();
@@ -295,7 +373,7 @@ impl EnhancedSea {
 
         let id = self.next_id;
         self.next_id += 1;
-        self.next_page = range.start.0 + range.count;
+        self.regions.take(range);
         self.pals.insert(
             id,
             PalRun {
@@ -429,6 +507,7 @@ impl EnhancedSea {
                 }
                 tpm.sepcr_release_to_quote(handle, cpu)?;
                 machine.controller_mut().release_pages(range)?;
+                self.regions.release(range);
                 machine.cpu_mut(cpu)?.leave_secure();
                 machine.cpu_mut(cpu)?.set_preemption_timer(None);
                 for h in helpers {
@@ -520,6 +599,7 @@ impl EnhancedSea {
             machine.memory_mut().zero_page(p)?;
         }
         machine.controller_mut().release_pages(range)?;
+        self.regions.release(range);
         let timed = tpm.sepcr_skill(handle)?;
         machine.charge(Layer::Tpm, "tpm.skill", timed.elapsed);
         Ok(())
@@ -1027,15 +1107,8 @@ impl EnhancedSea {
     ) -> Result<PalDone, SeaError> {
         let image = pal.image();
         let pages = (image.len().max(1) as u32).div_ceil(PAGE_SIZE as u32);
-        let range = PageRange::new(PageIndex(self.next_page), pages);
-        let installed = self.platform.machine().memory().num_pages();
-        if range.start.0 + range.count > installed {
-            return Err(SeaError::RegionTooSmall {
-                needed: image.len(),
-                available: 0,
-            });
-        }
-        self.next_page = range.start.0 + range.count;
+        let range = self.find_region(pages, image.len())?;
+        self.regions.take(range);
 
         self.platform
             .machine_mut()
@@ -1079,6 +1152,7 @@ impl EnhancedSea {
         };
 
         self.platform.late_launch_exit(cpu, range)?;
+        self.regions.release(range);
         let output = result?;
         Ok(PalDone { output, report })
     }
@@ -1579,6 +1653,78 @@ mod tests {
         // Launch + 2 resumes → 3 reprogrammings of 2 µs each.
         let delta = on.context_switch - off.context_switch;
         assert_eq!(delta, INTERRUPT_ROUTING_COST * 3);
+    }
+
+    #[test]
+    fn exhausted_bump_pointer_reuses_released_regions() {
+        // DRAM with room for ten pages above the OS image.
+        let mut sea = EnhancedSea::new(SecurePlatform::new(
+            Platform::recommended(2).with_mem_pages(FIRST_PAL_PAGE + 10),
+            KeyStrength::Demo512,
+            b"regions",
+        ))
+        .unwrap();
+        let start = |sea: &EnhancedSea, id| sea.secb(id).unwrap().pages().start.0 - FIRST_PAL_PAGE;
+        let exit = |sea: &mut EnhancedSea, pal: &mut dyn PalLogic, id| {
+            let PalStep::Exited { output } = sea.step(pal, id).unwrap() else {
+                panic!("PAL must exit");
+            };
+            sea.quote_and_free(id, b"n").unwrap();
+            output
+        };
+        let kill = |sea: &mut EnhancedSea, pal: &mut dyn PalLogic, id| {
+            assert_eq!(sea.step(pal, id).unwrap(), PalStep::Yielded);
+            sea.skill(id).unwrap();
+        };
+        let mut first = FnPal::new("first", |_| Ok(PalOutcome::Exit(vec![])));
+        // Reports the state it found, which must be empty on a fresh
+        // region.
+        let mut reuse = FnPal::new("reuse", |ctx| Ok(PalOutcome::Exit(ctx.state().to_vec())));
+        let mut yields = FnPal::new("yields", |_| Ok(PalOutcome::Yield));
+
+        // The bump pointer goes first, even past a released region. A's
+        // page-long input puts its state on page 1, so SFREE erases
+        // pages 1..4 and page 0 keeps the input.
+        let a = sea
+            .slaunch(&mut first, &[0xff; PAGE_SIZE], CpuId(0), None)
+            .unwrap();
+        exit(&mut sea, &mut first, a);
+        let b = sea.slaunch(&mut yields, b"", CpuId(0), None).unwrap();
+        let c = sea.slaunch(&mut yields, b"", CpuId(1), None).unwrap();
+        assert_eq!((start(&sea, a), start(&sea, b), start(&sea, c)), (0, 4, 7));
+
+        // Exhausted, it splits A's four pages, zeroed first: A's input
+        // sits where the new PAL's state header goes.
+        let d = sea.slaunch(&mut reuse, b"", CpuId(0), None).unwrap();
+        assert_eq!(start(&sea, d), 0);
+        // A SKILLed region comes back too, merged with A's leftover page.
+        kill(&mut sea, &mut yields, b);
+        let e = sea.slaunch(&mut first, b"", CpuId(1), None).unwrap();
+        assert_eq!(start(&sea, e), 3);
+        assert!(matches!(
+            sea.slaunch(&mut yields, b"", CpuId(0), None),
+            Err(SeaError::RegionTooSmall { available: 0, .. })
+        ));
+        assert_eq!(exit(&mut sea, &mut reuse, d), Vec::<u8>::new());
+
+        // Released neighbours merge into one region a bigger PAL fits.
+        kill(&mut sea, &mut yields, c);
+        exit(&mut sea, &mut first, e);
+        let mut big =
+            FnPal::new("big", |_| Ok(PalOutcome::Exit(vec![]))).with_image_size(8 * PAGE_SIZE);
+        let f = sea.slaunch(&mut big, b"", CpuId(0), None).unwrap();
+        assert_eq!(
+            (start(&sea, f), sea.secb(f).unwrap().pages().count),
+            (0, 10)
+        );
+        exit(&mut sea, &mut big, f);
+
+        // A legacy fallback splits the region and gives its part back.
+        let mut legacy = FnPal::new("legacy", |_| Ok(PalOutcome::Exit(b"ok".to_vec())));
+        let done = sea.run_legacy_fallback(&mut legacy, b"", CpuId(0)).unwrap();
+        assert_eq!(done.output, b"ok");
+        let g = sea.slaunch(&mut big, b"", CpuId(0), None).unwrap();
+        assert_eq!(start(&sea, g), 0);
     }
 
     #[test]

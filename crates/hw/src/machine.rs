@@ -438,6 +438,10 @@ mod tests {
         assert_eq!(m.devices().len(), 1);
         assert_eq!(m.devices()[0].name(), "test NIC");
         assert_eq!(m.now(), SimTime::ZERO);
+        // Installed DRAM costs no host memory until it is written.
+        assert_eq!(m.memory().resident_pages(), 0);
+        let full = Machine::new(Platform::recommended(2));
+        assert_eq!(full.memory().resident_pages(), 0);
     }
 
     #[test]
@@ -553,6 +557,7 @@ mod tests {
             .unwrap();
         m.advance(SimDuration::from_ms(3));
         let before = m.now();
+        assert_eq!(m.memory().resident_pages(), 1);
 
         let cost = m.reset();
 
@@ -570,6 +575,7 @@ mod tests {
             m.read(Requester::Cpu(CpuId(0)), PhysAddr(0), 6).unwrap(),
             b"sticky"
         );
+        assert_eq!(m.memory().resident_pages(), 1);
         assert_eq!(m.now(), before + cost);
         assert!(m
             .trace()

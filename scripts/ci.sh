@@ -177,4 +177,17 @@ for w in 8 16; do
     || { echo "ci.sh: suite report differs between 1 and $w workers" >&2; exit 1; }
 done
 
+echo "== host-time benchmark: self-tests and seed-1 correctness (offline) =="
+# Correctness only: every timing value is ignored. The self-tests pin the
+# oracle and digest agreement between traced and untraced runs; a short
+# run of each workload must end correct with no failed operation, which
+# also checks its seed-1 digests against hostbench/digests.json.
+cargo test -q --release --offline --manifest-path hostbench/Cargo.toml
+for w in pal_sessions durable_batch fleet_churn; do
+  result=$(cargo run -q --release --offline --manifest-path hostbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  echo "$result" | grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0, ' \
+    || { echo "ci.sh: hostbench $w is not correct: $result" >&2; exit 1; }
+done
+
 echo "== ci.sh: all green =="

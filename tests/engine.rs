@@ -471,6 +471,28 @@ fn typestate_session_drives_by_hand() {
     let sea = engine.into_inner();
     let tpm = sea.platform().tpm().expect("tpm");
     assert_eq!(tpm.sepcrs().free_count(), tpm.sepcrs().count());
+    // Of the platform's 64 MiB of DRAM only the session's region took
+    // host memory, and SFREE's erase of the state area, which starts on
+    // the region's first page here, handed all of it back.
+    assert_eq!(sea.platform().machine().memory().resident_pages(), 0);
+}
+
+#[test]
+fn one_engine_quotes_far_more_sessions_than_fresh_regions() {
+    // Default DRAM holds 5,440 of these three-page regions above the OS
+    // image; past that, launches must reuse the regions retired sessions
+    // released instead of failing with `RegionTooSmall`.
+    let engine = engine(1, 1);
+    for i in 0..20_000 {
+        let mut pal = FnPal::new("long-lived", |_| Ok(PalOutcome::Exit(Vec::new())));
+        let session = engine
+            .launch(&mut pal, b"", CpuId(0), i)
+            .unwrap_or_else(|e| panic!("launch {i}: {e}"));
+        let Stepped::Exited(sealed) = session.step().unwrap() else {
+            panic!("PAL must exit");
+        };
+        sealed.quote_and_free(&(i as u64).to_le_bytes()).unwrap();
+    }
 }
 
 #[test]
