@@ -6,7 +6,7 @@ use sea_bench::{
     ablation_fast_tpm, ablation_hash_placement, ablation_sepcr, concurrency, figure2, figure3,
     impact, latency, table1, table2,
 };
-use sea_hw::SimDuration;
+use sea_hw::{Obs, SimDuration};
 use sea_tpm::TpmOp;
 
 fn check(label: &str, ok: bool, detail: String) -> bool {
@@ -19,7 +19,7 @@ fn main() {
     let mut all_ok = true;
 
     println!("Table 1 — late launch vs PAL size:");
-    let t1 = table1();
+    let t1 = table1(Obs::null());
     for row in &t1 {
         let m = row.measured_ms[5];
         let p = row.paper_ms[5];
@@ -43,7 +43,7 @@ fn main() {
     }
 
     println!("\nFigure 2 — session overheads (HP dc5750):");
-    let bars = figure2(20);
+    let bars = figure2(20, Obs::null());
     all_ok &= check(
         "PAL Gen ≈ 200 ms",
         (bars[0].total_ms - 197.5).abs() < 15.0,
@@ -56,7 +56,7 @@ fn main() {
     );
 
     println!("\nFigure 3 — TPM microbenchmarks:");
-    let cells = figure3(20);
+    let cells = figure3(20, Obs::null());
     let get = |tpm: &str, op: TpmOp| {
         cells
             .iter()

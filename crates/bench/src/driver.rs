@@ -24,9 +24,8 @@ use sea_hw::{Layer, Obs, SimDuration};
 use sea_tpm::TpmOp;
 
 use crate::experiments::{
-    churn_sweep_with_obs, crash_sweep_with_obs, fault_sweep_with_obs, figure2_with_obs,
-    figure3_tpms, figure3_with_obs, fleet_sweep_with_obs, scale_with_obs, table1_with_obs, table2,
-    throughput_with_obs, vm_dispatch_with_obs, vm_quotes_identical_across_executors, ChurnPoint,
+    churn_sweep, crash_sweep, fault_sweep, figure2, figure3, figure3_tpms, fleet_sweep, scale,
+    table1, table2, throughput, vm_dispatch, vm_quotes_identical_across_executors, ChurnPoint,
     CrashSweepPoint, FaultSweepPoint, Figure2Bar, Figure3Cell, FleetPoint, ScalePoint, Table1Row,
     ThroughputPoint, VmPoint, CHURN_PLATFORMS, CHURN_SEED, CRASH_SWEEP_SEED, FAULT_SWEEP_SEED,
     FLEET_SEED, FLEET_SHARDS, PAL_SIZES, SCALE_SEED,
@@ -169,7 +168,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
     vec![
         (
             "Table 1",
-            Box::new(|| observed(table1_with_obs, |rows| render_table1_rows(rows), &[])),
+            Box::new(|| observed(table1, |rows| render_table1_rows(rows), &[])),
         ),
         (
             "Table 2",
@@ -182,7 +181,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
             "Figure 2",
             Box::new(move || {
                 observed(
-                    |obs| figure2_with_obs(figure2_runs, obs),
+                    |obs| figure2(figure2_runs, obs),
                     |bars| render_figure2_bars(bars, figure2_runs),
                     &[("runs", figure2_runs as u64)],
                 )
@@ -192,7 +191,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
             "Figure 3",
             Box::new(move || {
                 observed(
-                    |obs| figure3_with_obs(figure3_trials, obs),
+                    |obs| figure3(figure3_trials, obs),
                     |cells| render_figure3_cells(cells, figure3_trials),
                     &[("trials", figure3_trials as u64)],
                 )
@@ -203,7 +202,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
             Box::new(move || {
                 let work = SimDuration::from_ms(10);
                 observed(
-                    |obs| throughput_with_obs(&THROUGHPUT_CORES, throughput_jobs, work, obs),
+                    |obs| throughput(&THROUGHPUT_CORES, throughput_jobs, work, obs),
                     |points| render_throughput_points(points, throughput_jobs, work),
                     &[("jobs", throughput_jobs as u64), ("work_ns", work.as_ns())],
                 )
@@ -215,7 +214,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
                 let work = SimDuration::from_ms(10);
                 observed(
                     |obs| {
-                        fault_sweep_with_obs(
+                        fault_sweep(
                             &FAULT_SWEEP_RATES,
                             fault_jobs,
                             work,
@@ -240,7 +239,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
                 let work = SimDuration::from_ms(10);
                 observed(
                     |obs| {
-                        crash_sweep_with_obs(
+                        crash_sweep(
                             &CRASH_SWEEP_RATES,
                             crash_jobs,
                             work,
@@ -264,7 +263,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
             Box::new(move || {
                 let work = SimDuration::from_ms(10);
                 observed(
-                    |obs| scale_with_obs(&SCALE_CPUS, scale_jobs, work, obs),
+                    |obs| scale(&SCALE_CPUS, scale_jobs, work, obs),
                     |points| render_scale_points(points, scale_jobs, work),
                     &[
                         ("jobs", scale_jobs as u64),
@@ -278,7 +277,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
             "Fleet",
             Box::new(move || {
                 observed(
-                    |obs| fleet_sweep_with_obs(&FLEET_PLATFORMS, fleet_requests, obs),
+                    |obs| fleet_sweep(&FLEET_PLATFORMS, fleet_requests, obs),
                     |points| render_fleet_points(points, fleet_requests),
                     &[
                         ("requests", fleet_requests as u64),
@@ -292,7 +291,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
             "Churn",
             Box::new(move || {
                 observed(
-                    |obs| churn_sweep_with_obs(&CHURN_RATES, churn_requests, obs),
+                    |obs| churn_sweep(&CHURN_RATES, churn_requests, obs),
                     |points| render_churn_points(points, churn_requests),
                     &[
                         ("requests", churn_requests as u64),
@@ -307,7 +306,7 @@ fn suite_jobs(cfg: &SuiteConfig) -> Vec<Job> {
             Box::new(|| {
                 let identical = vm_quotes_identical_across_executors();
                 observed(
-                    vm_dispatch_with_obs,
+                    vm_dispatch,
                     |points| render_vm_points(points, identical),
                     &[("executors_identical", identical as u64)],
                 )
@@ -641,7 +640,7 @@ pub fn validate_suite_json(text: &str) -> Result<(), String> {
 
 /// Renders Table 1 exactly as the `table1` binary prints it.
 pub fn render_table1() -> String {
-    render_table1_rows(&crate::experiments::table1())
+    render_table1_rows(&table1(Obs::null()))
 }
 
 /// Renders already-measured Table 1 rows.
@@ -699,7 +698,7 @@ pub fn render_table2() -> String {
 /// Renders Figure 2 (table + terminal bar chart) as the `figure2`
 /// binary prints it.
 pub fn render_figure2(runs: usize) -> String {
-    render_figure2_bars(&crate::experiments::figure2(runs), runs)
+    render_figure2_bars(&figure2(runs, Obs::null()), runs)
 }
 
 /// Renders already-measured Figure 2 bars.
@@ -749,7 +748,7 @@ pub fn render_figure2_bars(bars: &[Figure2Bar], runs: usize) -> String {
 
 /// Renders Figure 3 exactly as the `figure3` binary prints it.
 pub fn render_figure3(trials: usize) -> String {
-    render_figure3_cells(&crate::experiments::figure3(trials), trials)
+    render_figure3_cells(&figure3(trials, Obs::null()), trials)
 }
 
 /// Renders already-measured Figure 3 cells.
@@ -787,7 +786,7 @@ pub fn render_figure3_cells(cells: &[Figure3Cell], trials: usize) -> String {
 /// throughput vs core count on the proposed hardware.
 pub fn render_throughput(worker_counts: &[usize], jobs: usize, work: SimDuration) -> String {
     render_throughput_points(
-        &crate::experiments::throughput(worker_counts, jobs, work),
+        &throughput(worker_counts, jobs, work, Obs::null()),
         jobs,
         work,
     )
@@ -837,7 +836,7 @@ pub fn render_throughput_points(
 /// recovery layer's default retry policy.
 pub fn render_fault_sweep(rates: &[u32], jobs: usize, work: SimDuration, workers: usize) -> String {
     render_fault_sweep_points(
-        &crate::experiments::fault_sweep(rates, jobs, work, workers),
+        &fault_sweep(rates, jobs, work, workers, Obs::null()),
         jobs,
         work,
         workers,
@@ -892,7 +891,7 @@ pub fn render_fault_sweep_points(
 /// the crash-consistent durable engine.
 pub fn render_crash_sweep(rates: &[u32], jobs: usize, work: SimDuration, workers: usize) -> String {
     render_crash_sweep_points(
-        &crate::experiments::crash_sweep(rates, jobs, work, workers),
+        &crash_sweep(rates, jobs, work, workers, Obs::null()),
         jobs,
         work,
         workers,
@@ -953,11 +952,7 @@ pub fn render_crash_sweep_points(
 /// Renders the virtual-CPU scale sweep: durable-batch goodput vs
 /// platform width on the discrete-event executor.
 pub fn render_scale(cpu_counts: &[usize], jobs: usize, work: SimDuration) -> String {
-    render_scale_points(
-        &crate::experiments::scale(cpu_counts, jobs, work),
-        jobs,
-        work,
-    )
+    render_scale_points(&scale(cpu_counts, jobs, work, Obs::null()), jobs, work)
 }
 
 /// Renders already-measured scale points.
@@ -1010,7 +1005,7 @@ pub fn render_scale_points(points: &[ScalePoint], jobs: usize, work: SimDuration
 /// percentiles vs fleet size, platforms quoting to the remote verifier.
 pub fn render_fleet(platform_counts: &[usize], requests: usize) -> String {
     render_fleet_points(
-        &crate::experiments::fleet_sweep(platform_counts, requests),
+        &fleet_sweep(platform_counts, requests, Obs::null()),
         requests,
     )
 }
@@ -1068,17 +1063,14 @@ pub fn render_fleet_points(points: &[FleetPoint], requests: usize) -> String {
 /// Renders the churn sweep: request fates, retry cost, and adversarial
 /// rejection vs churn intensity.
 pub fn render_churn(intensities: &[u32], requests: usize) -> String {
-    render_churn_points(
-        &crate::experiments::churn_sweep(intensities, requests),
-        requests,
-    )
+    render_churn_points(&churn_sweep(intensities, requests, Obs::null()), requests)
 }
 
 /// Renders the VM dispatch experiment: the four paper PALs as executed
 /// bytecode, block chaining on vs off, plus the cross-executor quote
 /// pin.
 pub fn render_vm(executors_identical: bool) -> String {
-    render_vm_points(&crate::experiments::vm_dispatch(), executors_identical)
+    render_vm_points(&vm_dispatch(Obs::null()), executors_identical)
 }
 
 /// Renders already-measured VM dispatch points.
@@ -1315,7 +1307,7 @@ mod tests {
 
     #[test]
     fn vm_artifact_shows_chaining_speedup() {
-        let points = crate::experiments::vm_dispatch();
+        let points = vm_dispatch(Obs::null());
         assert_eq!(points.len(), 4);
         for p in &points {
             assert!(p.retired > 0, "{p:?}");

@@ -1,5 +1,8 @@
 //! The experiments: one function per table/figure, returning structured
 //! data the binaries print and the tests assert against.
+//!
+//! Every experiment that executes sessions takes an [`Obs`] handle that
+//! receives its span stream; pass [`Obs::null`] to run it uninstrumented.
 
 use sea_core::{
     BatchPolicy, ConcurrentJob, EnhancedSea, Executor, FnPal, LegacySea, PalLogic, PalOutcome,
@@ -37,14 +40,11 @@ pub struct Table1Row {
 
 /// Reproduces Table 1 by *executing* a late launch of each size on each
 /// of the paper's three machines and reading the virtual clock.
-pub fn table1() -> Vec<Table1Row> {
-    table1_with_obs(Obs::null())
-}
-
-/// [`table1`] with an observability handle installed into every
-/// platform it builds, so each late launch's charges (CPU init plus the
-/// measurement transfer/hash) land in the span stream.
-pub fn table1_with_obs(obs: Obs) -> Vec<Table1Row> {
+///
+/// `obs` is installed into every platform it builds, so each late
+/// launch's charges (CPU init plus the measurement transfer/hash) land
+/// in the span stream.
+pub fn table1(obs: Obs) -> Vec<Table1Row> {
     let configs: [(Platform, bool, [f64; 6]); 3] = [
         (
             Platform::hp_dc5750(),
@@ -179,22 +179,15 @@ impl Figure2Bar {
 /// Reproduces Figure 2: generic PAL Gen and PAL Use sessions on the HP
 /// dc5750, averaged over `runs` runs, plus the standalone Quote cost.
 ///
-/// # Panics
-///
-/// Panics if `runs == 0`.
-pub fn figure2(runs: usize) -> Vec<Figure2Bar> {
-    figure2_with_obs(runs, Obs::null())
-}
-
-/// [`figure2`] with an observability handle installed into the one
-/// platform it runs every session on: each session emits a
-/// `session.legacy` frame bracketing its charged leaves, and the
-/// snapshot's total equals the machine clock's advance exactly.
+/// `obs` is installed into the one platform it runs every session on:
+/// each session emits a `session.legacy` frame bracketing its charged
+/// leaves, and the snapshot's total equals the machine clock's advance
+/// exactly.
 ///
 /// # Panics
 ///
 /// Panics if `runs == 0`.
-pub fn figure2_with_obs(runs: usize, obs: Obs) -> Vec<Figure2Bar> {
+pub fn figure2(runs: usize, obs: Obs) -> Vec<Figure2Bar> {
     assert!(runs > 0, "need at least one run");
     let mut sp = platform(Platform::hp_dc5750(), b"figure2");
     sp.install_obs(obs);
@@ -292,23 +285,16 @@ pub fn figure3_tpms() -> Vec<(TpmKind, &'static str)> {
 /// (the paper uses 20) against each chip's simulator and collecting
 /// mean ± stddev.
 ///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-pub fn figure3(trials: usize) -> Vec<Figure3Cell> {
-    figure3_with_obs(trials, Obs::null())
-}
-
-/// [`figure3`] with an observability handle installed directly into
-/// each bare TPM (there is no full platform here, so the chip's own
-/// `cost()` choke point is the attribution site): every command lands
-/// as a `tpm.*` leaf and the snapshot's total equals the sum of the
-/// commands' elapsed times exactly.
+/// `obs` is installed directly into each bare TPM (there is no full
+/// platform here, so the chip's own `cost()` choke point is the
+/// attribution site): every command lands as a `tpm.*` leaf and the
+/// snapshot's total equals the sum of the commands' elapsed times
+/// exactly.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
-pub fn figure3_with_obs(trials: usize, obs: Obs) -> Vec<Figure3Cell> {
+pub fn figure3(trials: usize, obs: Obs) -> Vec<Figure3Cell> {
     assert!(trials > 0, "need at least one trial");
     let mut out = Vec::new();
     for (kind, label) in figure3_tpms() {
@@ -377,7 +363,7 @@ pub struct ImpactReport {
 pub fn impact() -> ImpactReport {
     // Baseline: a PAL Use session's overhead decomposes into switch-in
     // (SKINIT + Unseal) and switch-out (Seal).
-    let bars = figure2(10);
+    let bars = figure2(10, Obs::null());
     let use_bar = &bars[1];
     let switch_in = use_bar.skinit_ms + use_bar.unseal_ms;
     let switch_out = use_bar.seal_ms;
@@ -739,15 +725,11 @@ pub struct ThroughputPoint {
 /// per-PAL sePCRs and the access-control table are what let the sessions
 /// overlap; the baseline hardware of §4.2 would serialize them at
 /// `aggregate_ms` regardless of core count.
-pub fn throughput(worker_counts: &[usize], jobs: usize, work: SimDuration) -> Vec<ThroughputPoint> {
-    throughput_with_obs(worker_counts, jobs, work, Obs::null())
-}
-
-/// [`throughput`] with an observability handle installed into each
-/// sweep point's engine. Per-layer totals and counters are additive, so
-/// the aggregated metrics are invariant to worker interleaving even
-/// though this path's sessions are unkeyed.
-pub fn throughput_with_obs(
+///
+/// `obs` is installed into each sweep point's engine. Per-layer totals
+/// and counters are additive, so the aggregated metrics are invariant
+/// to worker interleaving even though this path's sessions are unkeyed.
+pub fn throughput(
     worker_counts: &[usize],
     jobs: usize,
     work: SimDuration,
@@ -826,20 +808,12 @@ pub struct FaultSweepPoint {
 /// roughly linearly); the fatal fraction ([`FAULT_SWEEP_FATAL_RATIO`])
 /// kills sessions outright, so completions drop as the rate climbs —
 /// but the batch always finishes and every sePCR comes back.
+///
+/// `obs` is installed into each sweep point's engine: sessions are
+/// keyed (batch index = track), so retries surface as
+/// `recovery.backoff` leaves and `core.retries` counts on the faulted
+/// session's own track.
 pub fn fault_sweep(
-    rates: &[u32],
-    jobs: usize,
-    work: SimDuration,
-    workers: usize,
-) -> Vec<FaultSweepPoint> {
-    fault_sweep_with_obs(rates, jobs, work, workers, Obs::null())
-}
-
-/// [`fault_sweep`] with an observability handle installed into each
-/// sweep point's engine: sessions are keyed (batch index = track), so
-/// retries surface as `recovery.backoff` leaves and `core.retries`
-/// counts on the faulted session's own track.
-pub fn fault_sweep_with_obs(
     rates: &[u32],
     jobs: usize,
     work: SimDuration,
@@ -950,20 +924,12 @@ pub struct CrashSweepPoint {
 /// had committed to the sealed NVRAM journal keep their results, the
 /// rest relaunch — so goodput decays with the rate but the batch always
 /// finishes with every session quoted.
+///
+/// `obs` is installed into each sweep point's engine: journal
+/// checkpoints and reboot recovery land on the platform-wide track
+/// ([`sea_hw::PLATFORM_TRACK`]) as `journal.seal`/`journal.unseal`
+/// leaves plus `journal.*` counters.
 pub fn crash_sweep(
-    rates: &[u32],
-    jobs: usize,
-    work: SimDuration,
-    workers: usize,
-) -> Vec<CrashSweepPoint> {
-    crash_sweep_with_obs(rates, jobs, work, workers, Obs::null())
-}
-
-/// [`crash_sweep`] with an observability handle installed into each
-/// sweep point's engine: journal checkpoints and reboot recovery land
-/// on the platform-wide track ([`sea_hw::PLATFORM_TRACK`]) as
-/// `journal.seal`/`journal.unseal` leaves plus `journal.*` counters.
-pub fn crash_sweep_with_obs(
     rates: &[u32],
     jobs: usize,
     work: SimDuration,
@@ -1065,19 +1031,11 @@ pub struct ScalePoint {
 /// structural, the *whole* ledger — resets, the committed/relaunched
 /// split, recovery accounting — is byte-identical run to run at every
 /// width (the thread pool can promise that only at one worker).
-pub fn scale(cpu_counts: &[usize], jobs: usize, work: SimDuration) -> Vec<ScalePoint> {
-    scale_with_obs(cpu_counts, jobs, work, Obs::null())
-}
-
-/// [`scale`] with an observability handle installed into each sweep
-/// point's engine: journal checkpoints and reboot recovery land on
-/// [`sea_hw::PLATFORM_TRACK`] exactly as in the crash sweep.
-pub fn scale_with_obs(
-    cpu_counts: &[usize],
-    jobs: usize,
-    work: SimDuration,
-    obs: Obs,
-) -> Vec<ScalePoint> {
+///
+/// `obs` is installed into each sweep point's engine: journal
+/// checkpoints and reboot recovery land on [`sea_hw::PLATFORM_TRACK`]
+/// exactly as in the crash sweep.
+pub fn scale(cpu_counts: &[usize], jobs: usize, work: SimDuration, obs: Obs) -> Vec<ScalePoint> {
     cpu_counts
         .iter()
         .map(|&cpus| {
@@ -1171,18 +1129,10 @@ pub struct FleetPoint {
 /// completions through the remote [`sea_fleet::VerifierService`] —
 /// certificate walks, session tickets, nonce freshness, TCB policy and
 /// all. Deterministic at every fleet size and shard count.
-pub fn fleet_sweep(platform_counts: &[usize], requests: usize) -> Vec<FleetPoint> {
-    fleet_sweep_with_obs(platform_counts, requests, Obs::null())
-}
-
-/// [`fleet_sweep`] with an observability handle installed into every
-/// platform in every fleet: session spans and layer charges from all
-/// shards land in one recording.
-pub fn fleet_sweep_with_obs(
-    platform_counts: &[usize],
-    requests: usize,
-    obs: Obs,
-) -> Vec<FleetPoint> {
+///
+/// `obs` is installed into every platform in every fleet: session spans
+/// and layer charges from all shards land in one recording.
+pub fn fleet_sweep(platform_counts: &[usize], requests: usize, obs: Obs) -> Vec<FleetPoint> {
     platform_counts
         .iter()
         .map(|&platforms| {
@@ -1313,13 +1263,9 @@ pub fn churn_plan(intensity: u32) -> sea_fleet::ChurnPlan {
 /// freshness/ticket windows, then charts how goodput degrades and what
 /// share of wire traffic the verifier turns away. Deterministic at
 /// every intensity, shard count, and executor.
-pub fn churn_sweep(intensities: &[u32], requests: usize) -> Vec<ChurnPoint> {
-    churn_sweep_with_obs(intensities, requests, Obs::null())
-}
-
-/// [`churn_sweep`] with an observability handle installed into every
-/// platform in every fleet.
-pub fn churn_sweep_with_obs(intensities: &[u32], requests: usize, obs: Obs) -> Vec<ChurnPoint> {
+///
+/// `obs` is installed into every platform in every fleet.
+pub fn churn_sweep(intensities: &[u32], requests: usize, obs: Obs) -> Vec<ChurnPoint> {
     intensities
         .iter()
         .map(|&intensity| {
@@ -1468,18 +1414,15 @@ fn vm_workloads() -> Vec<VmWorkload> {
     ]
 }
 
-/// The VM experiment without instrumentation.
-pub fn vm_dispatch() -> Vec<VmPoint> {
-    vm_dispatch_with_obs(Obs::null())
-}
-
 /// Runs each paper PAL's canonical workload as executed bytecode twice
 /// — chaining on, then chaining off — and reports what direct block
 /// chaining saves in dispatch gas. Outputs and retired-instruction
 /// counts are asserted identical between the two runs (chaining is a
 /// dispatch optimization, never a semantic one), so the speedup column
 /// measures dispatch alone.
-pub fn vm_dispatch_with_obs(obs: Obs) -> Vec<VmPoint> {
+///
+/// `obs` is installed into every platform the runs use.
+pub fn vm_dispatch(obs: Obs) -> Vec<VmPoint> {
     vm_workloads()
         .into_iter()
         .map(|(name, make, inputs)| {
@@ -1564,7 +1507,7 @@ mod tests {
 
     #[test]
     fn table1_shape_matches_paper() {
-        let rows = table1();
+        let rows = table1(Obs::null());
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert_eq!(row.measured_ms.len(), PAL_SIZES.len());
@@ -1598,7 +1541,7 @@ mod tests {
 
     #[test]
     fn figure2_shape_matches_paper() {
-        let bars = figure2(5);
+        let bars = figure2(5, Obs::null());
         let (gen, use_bar, quote) = (&bars[0], &bars[1], &bars[2]);
         // PAL Gen ≈ 200 ms: SKINIT + Seal, no Unseal.
         assert!((gen.total_ms - 197.5).abs() < 15.0, "gen {}", gen.total_ms);
@@ -1612,7 +1555,7 @@ mod tests {
 
     #[test]
     fn figure3_reproduces_ordering_constraints() {
-        let cells = figure3(20);
+        let cells = figure3(20, Obs::null());
         let get = |tpm: &str, op: &str| -> f64 {
             cells
                 .iter()
@@ -1720,7 +1663,7 @@ mod tests {
 
     #[test]
     fn throughput_scales_with_core_count() {
-        let points = throughput(&[1, 2, 4], 8, SimDuration::from_ms(50));
+        let points = throughput(&[1, 2, 4], 8, SimDuration::from_ms(50), Obs::null());
         // One core is the serial baseline by definition.
         assert!((points[0].speedup - 1.0).abs() < 1e-9, "{points:?}");
         assert!((points[0].wall_ms - points[0].aggregate_ms).abs() < 1e-9);
@@ -1748,7 +1691,13 @@ mod tests {
 
     #[test]
     fn crash_sweep_recovers_every_session() {
-        let points = crash_sweep(&[0, sea_hw::RATE_DENOM / 3], 8, SimDuration::from_ms(2), 4);
+        let points = crash_sweep(
+            &[0, sea_hw::RATE_DENOM / 3],
+            8,
+            SimDuration::from_ms(2),
+            4,
+            Obs::null(),
+        );
         // Reset-free: no reboots, no recovery time, full goodput.
         assert_eq!(points[0].resets, 0, "{points:?}");
         assert_eq!(points[0].quoted, 8);
@@ -1780,7 +1729,7 @@ mod tests {
     fn scale_sweep_holds_at_a_thousand_cpus() {
         // The 1024 width runs twice: the second pass is the
         // determinism probe at the bottom.
-        let points = scale(&[1, 1024, 1024], 256, SimDuration::from_ms(1));
+        let points = scale(&[1, 1024, 1024], 256, SimDuration::from_ms(1), Obs::null());
         for p in &points {
             // Every session quoted, every reset accounted for.
             assert_eq!(p.quoted, p.jobs, "{p:?}");
@@ -1813,7 +1762,7 @@ mod tests {
 
     #[test]
     fn fleet_sweep_accepts_everything_and_scales() {
-        let points = fleet_sweep(&[1, 4], 8);
+        let points = fleet_sweep(&[1, 4], 8, Obs::null());
         assert_eq!(points.len(), 2);
         for p in &points {
             // An honest fleet is accepted wholesale.
@@ -1834,7 +1783,7 @@ mod tests {
 
     #[test]
     fn churn_sweep_baseline_is_clean_and_chaos_is_contained() {
-        let points = churn_sweep(&[0, 20_000], 12);
+        let points = churn_sweep(&[0, 20_000], 12, Obs::null());
         assert_eq!(points.len(), 2);
         // Intensity 0 is the honest fleet: no retries, no adversaries,
         // nothing rejected, everything verified first try.
@@ -1865,7 +1814,13 @@ mod tests {
 
     #[test]
     fn fault_sweep_degrades_gracefully() {
-        let points = fault_sweep(&[0, 2000, 12_000], 8, SimDuration::from_ms(2), 4);
+        let points = fault_sweep(
+            &[0, 2000, 12_000],
+            8,
+            SimDuration::from_ms(2),
+            4,
+            Obs::null(),
+        );
         // Fault-free: everything quoted, no retries, no kills.
         assert_eq!(points[0].quoted, 8, "{points:?}");
         assert_eq!(points[0].killed, 0);

@@ -152,15 +152,21 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so the bound keeps a hostile document from overflowing the
+/// stack; `BENCH_suite.json` nests about 5 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document, rejecting trailing garbage.
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first syntax error.
+/// Returns a message naming the byte offset of the first syntax error,
+/// or of the first array or object nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -183,12 +189,16 @@ fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -250,6 +260,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a leading `+`.
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {pos}"));
+                        }
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
                             16,
@@ -265,18 +280,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("valid UTF-8 tail");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so the run of the (UTF-8) input
+                // ends on a char boundary, and each byte is scanned once.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -285,7 +304,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -298,7 +317,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -311,7 +330,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -362,13 +381,17 @@ mod tests {
 
     #[test]
     fn escapes_and_unescapes() {
-        let doc = Json::Str("a\"b\\c\nd\te\u{1}".into());
-        let text = doc.render();
-        assert_eq!(parse(&text).expect("parses"), doc);
+        for s in ["a\"b\\c\nd\te\u{1}", "héllo \"wörld\" ✓\n\u{1F600}"] {
+            let doc = Json::Str(s.into());
+            let text = doc.render();
+            assert_eq!(parse(&text).expect("parses"), doc);
+        }
+        assert_eq!(parse("\"\\u00e9x\""), Ok(Json::Str("éx".into())));
     }
 
     #[test]
     fn rejects_malformed_documents() {
+        let deep = "[".repeat(100_000);
         for bad in [
             "",
             "{",
@@ -378,9 +401,28 @@ mod tests {
             "\"unterminated",
             "nul",
             "{\"a\": 00x}",
+            &deep,
+            "\"\\u+041\"",
         ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
+            let head: String = bad.chars().take(16).collect();
+            assert!(parse(bad).is_err(), "accepted {head:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // Objects count toward the same bound.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        let err = parse(&objects).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! * events fire in `(time, session id)` order, FIFO at exact ties —
 //!   the tie-break contract pinned by `tests/proptest_invariants.rs`;
 //! * the TPM command gate is the per-CPU-lane arbiter
-//!   ([`ShardedTpmArbiter`], grant-order-identical to the retired
-//!   `EventOrderedTpmLock` by `sea-tpm`'s differential test): a quote
+//!   ([`ShardedTpmArbiter`], whose grant order `sea-tpm`'s differential
+//!   test pins to its reference, [`sea_tpm::EventOrderedTpmLock`]): a quote
 //!   occupies the TPM for its virtual duration, contending quotes are
 //!   granted by `(request time, CPU)` instead of by whichever OS
-//!   thread wins a compare-and-swap, and each grant carries its
+//!   thread takes the runtime lock first, and each grant carries its
 //!   request stamp so the queueing delay is charged to `tpm.gate`
 //!   lock-wait;
 //! * journal commit gates run at the committing session's terminal
@@ -38,9 +38,8 @@ use std::sync::Arc;
 use sea_hw::{CpuClockDomain, CpuId, EventQueue, Layer, Obs, SharedClock, SimDuration, SimTime};
 use sea_tpm::ShardedTpmArbiter;
 
-use crate::concurrent::ConcurrentJob;
 use crate::driver::{DriveStep, SessionDriver};
-use crate::engine::{Architecture, Attempt, WorkerMode};
+use crate::engine::{Architecture, Attempt, ConcurrentJob, WorkerMode};
 use crate::error::SeaError;
 use crate::locks::{lock, OrderedLock};
 

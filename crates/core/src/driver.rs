@@ -22,8 +22,7 @@
 use sea_hw::{CpuId, Layer, Obs, SimDuration, TraceEvent, TRANSPORT_FAULT_COST};
 use sea_tpm::TpmError;
 
-use crate::concurrent::{ConcurrentJob, JobResult, SessionResult};
-use crate::engine::Architecture;
+use crate::engine::{Architecture, ConcurrentJob, JobResult, SessionResult};
 use crate::enhanced::PalStep;
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
@@ -166,8 +165,8 @@ impl<A: Architecture> SessionDriver<A> {
     }
 
     /// Whether the *next* operation drives the TPM (the quote). The
-    /// discrete-event executor arbitrates these through the
-    /// event-ordered TPM lock instead of running them back to back.
+    /// discrete-event executor arbitrates these through its TPM arbiter
+    /// instead of running them back to back.
     pub(crate) fn needs_tpm(&self) -> bool {
         matches!(self.phase, Phase::Quote(_))
     }

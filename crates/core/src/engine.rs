@@ -66,7 +66,6 @@ use sea_hw::{
 };
 use sea_tpm::{Quote, SealedBlob, Timed};
 
-use crate::concurrent::{ConcurrentJob, JobResult, SessionResult};
 use crate::enhanced::{EnhancedSea, PalId, PalStep};
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
@@ -120,7 +119,7 @@ impl Executor {
 }
 
 /// Completions per virtual second of wall time — the one rate formula
-/// every outcome struct and bench table shares (`sea_bench::stats`
+/// [`BatchOutcome`] and every bench table share (`sea_bench::stats`
 /// re-exports it), so engine outcomes and bench JSON cannot disagree.
 pub fn rate_per_sec(completed: usize, wall: SimDuration) -> f64 {
     let secs = wall.as_secs_f64();
@@ -143,9 +142,110 @@ pub fn speedup(aggregate: SimDuration, wall: SimDuration) -> f64 {
     }
 }
 
+/// One unit of work for the pool: a PAL plus its input.
+pub struct ConcurrentJob {
+    pub(crate) logic: Box<dyn PalLogic + Send>,
+    pub(crate) input: Vec<u8>,
+}
+
+impl ConcurrentJob {
+    /// Packages a PAL and its input for submission.
+    pub fn new(logic: Box<dyn PalLogic + Send>, input: impl Into<Vec<u8>>) -> Self {
+        ConcurrentJob {
+            logic,
+            input: input.into(),
+        }
+    }
+}
+
+/// Result of one job in a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobResult {
+    /// The PAL's output.
+    pub output: Vec<u8>,
+    /// The session's cost breakdown (virtual time).
+    pub report: SessionReport,
+    /// Virtual cost of the post-exit `TPM_Quote` + `TPM_SEPCR_Free`.
+    pub quote_cost: SimDuration,
+    /// The CPU (= worker) the session ran on.
+    pub cpu: CpuId,
+}
+
+impl JobResult {
+    /// The job's full virtual cost: session plus attestation.
+    pub fn total(&self) -> SimDuration {
+        self.report.total() + self.quote_cost
+    }
+}
+
+/// Outcome of one job driven by the recovery layer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum SessionResult {
+    /// The session completed (possibly after retries) and was quoted.
+    Quoted {
+        /// The session's output, report, quote cost, and CPU.
+        result: JobResult,
+        /// The attestation over the session's sePCR.
+        quote: Quote,
+        /// How many injected faults were retried along the way.
+        retries: u32,
+        /// Virtual time spent on fault handling and backoff.
+        recovery_cost: SimDuration,
+    },
+    /// The sePCR bank was saturated at launch; the session ran to
+    /// completion on the legacy (late-launch) slow path instead,
+    /// without a sePCR-bound quote.
+    Degraded {
+        /// The job's index in the batch.
+        job: usize,
+        /// The PAL's output.
+        output: Vec<u8>,
+        /// The legacy session's cost breakdown.
+        report: SessionReport,
+    },
+    /// The retry budget was exhausted (or the fault was fatal); the
+    /// session was torn down via `SKILL` and its sePCR reclaimed.
+    Killed {
+        /// The job's index in the batch.
+        job: usize,
+        /// Attempts made (1 initial + retries) before giving up.
+        attempts: u32,
+        /// The error that ended the session.
+        error: SeaError,
+        /// Virtual time wasted on the failed attempts.
+        wasted: SimDuration,
+    },
+}
+
+impl SessionResult {
+    /// The job's virtual cost as charged to its worker CPU.
+    pub fn cost(&self) -> SimDuration {
+        match self {
+            SessionResult::Quoted {
+                result,
+                recovery_cost,
+                ..
+            } => result.total() + *recovery_cost,
+            SessionResult::Degraded { report, .. } => report.total(),
+            SessionResult::Killed { wasted, .. } => *wasted,
+        }
+    }
+
+    /// Whether the session completed and was quoted.
+    pub fn is_quoted(&self) -> bool {
+        matches!(self, SessionResult::Quoted { .. })
+    }
+
+    /// Whether the session was killed.
+    pub fn is_killed(&self) -> bool {
+        matches!(self, SessionResult::Killed { .. })
+    }
+}
+
 /// Terminal-variant counts for a slice of session results: the one
-/// shared tally every outcome struct derives its `quoted()` /
-/// `degraded()` / `killed()` counters from.
+/// tally [`BatchOutcome`]'s `quoted()` / `degraded()` / `killed()`
+/// counters derive from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionTally {
     /// Sessions that completed with an attestation.
@@ -693,11 +793,11 @@ impl<A: Architecture> Session<'_, A, Sealed> {
 /// needs. Concurrency is not a policy — it is the engine's worker
 /// count.
 ///
-/// | composition                    | retired entry point      |
-/// |--------------------------------|--------------------------|
-/// | `plain()`                      | `run_batch`              |
-/// | `.with_retry(...)`             | `run_batch_recovered`    |
-/// | `.with_retry(...).with_durability(...)` | `run_batch_durable` |
+/// | composition                             | batch behavior                          |
+/// |-----------------------------------------|-----------------------------------------|
+/// | `plain()`                               | fault-free fast path                    |
+/// | `.with_retry(...)`                      | bounded-retry fault recovery            |
+/// | `.with_retry(...).with_durability(...)` | recovery plus a journal that survives power loss |
 #[derive(Debug, Clone, Default)]
 pub struct BatchPolicy {
     retry: Option<RetryPolicy>,
@@ -772,9 +872,8 @@ impl BatchPolicy {
     }
 }
 
-/// Aggregate outcome of one [`SessionEngine::run`], subsuming the
-/// retired `ConcurrentOutcome` / `RecoveredOutcome` / `DurableOutcome`
-/// triple: the crash-history fields are zero / empty for batches whose
+/// Aggregate outcome of one [`SessionEngine::run`], whatever its
+/// policy: the crash-history fields are zero / empty for batches whose
 /// policy carried no [`ResetPlan`].
 ///
 /// The per-session results are byte-identical across worker counts,

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use sea_hw::{CpuId, SimDuration};
 use sea_tpm::Quote;
 
-use crate::concurrent::{JobResult, SessionResult};
+use crate::engine::{JobResult, SessionResult};
 use crate::error::SeaError;
 use crate::report::SessionReport;
 

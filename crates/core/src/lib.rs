@@ -61,7 +61,6 @@
 #![deny(missing_docs)]
 
 mod attest;
-mod concurrent;
 mod des;
 mod driver;
 pub mod engine;
@@ -81,13 +80,9 @@ mod threadpool;
 pub mod vm;
 
 pub use attest::{TrustPolicy, Verifier, VerifyError};
-pub use concurrent::{
-    ConcurrentJob, ConcurrentOutcome, ConcurrentSea, DurableOutcome, JobResult, RecoveredOutcome,
-    SessionResult,
-};
 pub use engine::{
-    Architecture, BatchOutcome, BatchPolicy, Executor, Session, SessionEngine, SessionTally,
-    Skinit, Slaunch, Stepped, JOURNAL_NV_INDEX,
+    Architecture, BatchOutcome, BatchPolicy, ConcurrentJob, Executor, JobResult, Session,
+    SessionEngine, SessionResult, SessionTally, Skinit, Slaunch, Stepped, JOURNAL_NV_INDEX,
 };
 pub use enhanced::{EnhancedSea, PalDone, PalId, PalStep};
 pub use error::SeaError;

@@ -16,9 +16,8 @@ use std::sync::Arc;
 
 use sea_hw::{CpuClockDomain, CpuId, Obs, SharedClock, SimDuration, SimTime};
 
-use crate::concurrent::ConcurrentJob;
 use crate::driver::SessionDriver;
-use crate::engine::{Architecture, Attempt, WorkerMode};
+use crate::engine::{Architecture, Attempt, ConcurrentJob, WorkerMode};
 use crate::error::SeaError;
 use crate::locks::{lock, OrderedLock};
 

@@ -22,7 +22,9 @@
 //!   enforcement, `SKILL` constant-extension, and sePCR-bound
 //!   seal/unseal/quote.
 //! * [`TpmLock`] — the proposed hardware arbitration for multi-CPU TPM
-//!   access (§5.4.5).
+//!   access (§5.4.5), and [`ShardedTpmArbiter`], its virtual-time form
+//!   with one request line per CPU, which grants in `(request time,
+//!   CPU id)` order and is the TPM gate of the discrete-event executor.
 //!
 //! Every command returns a [`Timed`] result carrying the virtual-time
 //! cost, which callers add to their [`sea_hw::SimClock`].
@@ -56,21 +58,19 @@ mod quote;
 mod seal;
 mod sepcr;
 mod sepcr_set;
-mod shard;
 mod timing;
 mod tpm;
 mod transport;
 
 pub use boot::{BootEvent, EventLog, SecureBootOutcome, SecureBootPolicy};
 pub use error::TpmError;
-pub use lock::{EventOrderedTpmLock, SharedTpmLock, TpmLock};
+pub use lock::{EventOrderedTpmLock, ShardedTpmArbiter, TpmGrant, TpmLock};
 pub use nvram::Nvram;
 pub use pcr::{PcrBank, PcrIndex, PcrValue, DYNAMIC_PCR_FIRST, DYNAMIC_PCR_LAST, NUM_PCRS};
 pub use quote::{Quote, QuoteSource, WireQuote, WIRE_QUOTE_MAGIC, WIRE_QUOTE_VERSION};
 pub use seal::SealedBlob;
-pub use sepcr::{SePcrBank, SePcrHandle, SePcrState, SharedSePcrBank, SKILL_CONSTANT};
+pub use sepcr::{SePcrBank, SePcrHandle, SePcrState, SKILL_CONSTANT};
 pub use sepcr_set::{SePcrSetBank, SePcrSetHandle};
-pub use shard::{ShardedSePcrBank, ShardedTpmArbiter, TpmGrant};
 pub use timing::{TpmOp, TpmTimingModel};
 pub use tpm::{KeyStrength, Locality, Timed, Tpm};
 pub use transport::{establish as establish_transport, SealedMessage, TransportEndpoint};

@@ -108,9 +108,12 @@ impl SealedBlob {
     ///
     /// # Errors
     ///
-    /// [`TpmError::InvalidBlob`] for malformed input. (Structural
-    /// validity does not imply authenticity — that is the unseal-time
-    /// MAC's job.)
+    /// [`TpmError::InvalidBlob`] for malformed input: wrong magic, a
+    /// truncated field, trailing bytes, or a selection whose length
+    /// disagrees with its index count. Only the canonical encoding
+    /// parses, so a parsed blob re-serializes to the input bytes.
+    /// (Structural validity does not imply authenticity — that is the
+    /// unseal-time MAC's job.)
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TpmError> {
         let rest = bytes.strip_prefix(b"SEALv1").ok_or(TpmError::InvalidBlob)?;
         let mut cursor = rest;
@@ -132,11 +135,12 @@ impl SealedBlob {
         let enc_key = next()?;
         let ciphertext = next()?;
         let mac = next()?;
+        if !cursor.is_empty() {
+            return Err(TpmError::InvalidBlob);
+        }
 
         let selection = match sel_bytes.split_first() {
-            Some((0x00, rest)) => {
-                let n = *rest.first().ok_or(TpmError::InvalidBlob)? as usize;
-                let idx = rest.get(1..1 + n).ok_or(TpmError::InvalidBlob)?;
+            Some((0x00, [n, idx @ ..])) if idx.len() == usize::from(*n) => {
                 SealSelection::Pcrs(idx.iter().map(|&i| PcrIndex(i)).collect())
             }
             Some((0x01, [])) => SealSelection::SePcr,
@@ -437,13 +441,39 @@ mod tests {
         )
         .unwrap();
         let bytes = blob.to_bytes();
-        for cut in [7, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert_eq!(
                 SealedBlob::from_bytes(&bytes[..cut]),
                 Err(TpmError::InvalidBlob),
                 "cut at {cut}"
             );
         }
+        // So are bytes past the MAC: only the canonical encoding parses.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(
+            SealedBlob::from_bytes(&trailing),
+            Err(TpmError::InvalidBlob)
+        );
+        // And a PCR selection carrying a byte past its `n` indices.
+        let pcr_blob = seal_payload(
+            key.public_key(),
+            &mut rng,
+            SealSelection::Pcrs(vec![PcrIndex(17), PcrIndex(18)]),
+            composite(1),
+            b"data",
+        )
+        .unwrap();
+        let pcr_bytes = pcr_blob.to_bytes();
+        let sel = [0x00, 2, 17, 18];
+        let sel_field = [&(sel.len() as u32).to_be_bytes()[..], &sel].concat();
+        assert!(pcr_bytes[6..].starts_with(&sel_field));
+        let mut surplus = b"SEALv1".to_vec();
+        surplus.extend_from_slice(&(sel.len() as u32 + 1).to_be_bytes());
+        surplus.extend_from_slice(&sel);
+        surplus.push(19);
+        surplus.extend_from_slice(&pcr_bytes[6 + sel_field.len()..]);
+        assert_eq!(SealedBlob::from_bytes(&surplus), Err(TpmError::InvalidBlob));
     }
 
     #[test]

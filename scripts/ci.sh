@@ -35,18 +35,6 @@ echo "== unified-engine guardrails =="
 # lint is load-bearing: rustdoc warnings above only catch broken links).
 grep -q '^#!\[deny(missing_docs)\]' crates/core/src/lib.rs \
   || { echo "ci.sh: crates/core/src/lib.rs must keep #![deny(missing_docs)]" >&2; exit 1; }
-# The retired batch entry points may be *called* only by their shim and
-# the equivalence suite that pins the shim to SessionEngine::run.
-strays=$(grep -rn '\.run_batch_recovered(\|\.run_batch_durable(' crates tests examples \
-  --include='*.rs' \
-  | grep -v 'crates/core/src/concurrent.rs' \
-  | grep -v 'tests/engine_equivalence.rs' \
-  | grep -v 'tests/engine.rs' || true)
-if [ -n "$strays" ]; then
-  echo "ci.sh: deprecated batch entry points called outside the shim/equivalence suite:" >&2
-  echo "$strays" >&2
-  exit 1
-fi
 # The thread-pool executor module is the only place in sea-core allowed
 # to spawn OS threads; everything else must go through an Executor.
 threads=$(grep -rn 'thread::spawn\|thread::scope' crates/core/src \
@@ -60,14 +48,17 @@ fi
 # The engine lock decomposition is rank-checked: every shared-state
 # lock in sea-core must be an OrderedLock from the lock-hierarchy
 # module, so a raw std Mutex anywhere else would dodge the debug-build
-# ordering assertions. (The pattern is `Mutex<` so `MutexGuard` in
-# signatures stays legal.)
-mutexes=$(grep -rn 'Mutex<' crates/core/src \
+# ordering assertions. sea-tpm holds no lock at all: each executor
+# serializes the TPM in one place (the thread pool through the rank-0
+# runtime lock, the discrete-event executor through ShardedTpmArbiter),
+# and a Mutex there would be a second, unranked serialization point.
+# (The pattern is `Mutex<` so `MutexGuard` in signatures stays legal.)
+mutexes=$(grep -rn 'Mutex<' crates/core/src crates/tpm/src \
   --include='*.rs' \
   | grep -v 'MutexGuard' \
   | grep -v 'crates/core/src/locks.rs' || true)
 if [ -n "$mutexes" ]; then
-  echo "ci.sh: raw Mutex in sea-core outside src/locks.rs (use OrderedLock):" >&2
+  echo "ci.sh: raw Mutex in sea-core outside src/locks.rs (use OrderedLock) or in sea-tpm:" >&2
   echo "$mutexes" >&2
   exit 1
 fi

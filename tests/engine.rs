@@ -4,9 +4,8 @@
 //! `SessionEngine::run` under each `BatchPolicy` composition, the
 //! typestate `Session` by hand, and both `Architecture` impls — so it
 //! lives with the other batch-level suites rather than inside the
-//! crate. The golden differential (`golden_differential.rs`) and shim
-//! equivalence (`engine_equivalence.rs`) suites build on the contracts
-//! pinned here.
+//! crate. The golden differential suite (`golden_differential.rs`)
+//! builds on the contracts pinned here.
 
 use sea_core::engine::{rate_per_sec, speedup};
 use sea_core::{
@@ -573,79 +572,4 @@ fn session_tally_completed_sums_quoted_and_degraded() {
     let tally = out.tally();
     assert_eq!((tally.quoted, tally.degraded, tally.killed), (4, 0, 0));
     assert_eq!(tally.completed(), 4);
-}
-
-/// The retired `ConcurrentSea` facade must stay a faithful shim: each
-/// deprecated entry point reproduces `SessionEngine::run` under the
-/// equivalent `BatchPolicy` on a same-seeded platform, field by field.
-#[test]
-#[allow(deprecated)]
-fn concurrent_sea_shims_delegate_to_the_engine() {
-    use sea_core::ConcurrentSea;
-
-    let faults = || {
-        Some(
-            FaultPlan::new(0x5EA)
-                .with_tpm_rate(8000)
-                .with_mem_rate(2000)
-                .with_timer_rate(2000)
-                .with_fatal_ratio(0),
-        )
-    };
-
-    // Plain path: ConcurrentOutcome's results are the quoted JobResults.
-    let mut shim = ConcurrentSea::new(platform(2), 2).unwrap();
-    let plain = shim.run_batch(jobs(4, 10)).unwrap();
-    let reference = engine(2, 2)
-        .run(jobs(4, 10), &BatchPolicy::plain())
-        .unwrap();
-    assert_eq!(plain.results.len(), 4);
-    for (r, s) in plain.results.iter().zip(&reference.sessions) {
-        assert_eq!(r, quoted(s));
-    }
-    assert_eq!(plain.cpu_busy, reference.cpu_busy);
-    assert_eq!(plain.wall, reference.wall);
-
-    // Recovered path: full session parity under the same fault tape.
-    let mut shim = ConcurrentSea::new(platform(2), 2).unwrap();
-    shim.set_fault_plan(faults());
-    let rec = shim
-        .run_batch_recovered(jobs(4, 10), RetryPolicy::default())
-        .unwrap();
-    let mut pool = engine(2, 2);
-    pool.set_fault_plan(faults());
-    let reference = pool
-        .run(
-            jobs(4, 10),
-            &BatchPolicy::plain().with_retry(RetryPolicy::default()),
-        )
-        .unwrap();
-    assert_eq!(rec.sessions, reference.sessions);
-    assert_eq!(rec.cpu_busy, reference.cpu_busy);
-    assert_eq!(rec.wall, reference.wall);
-
-    // Durable path: ledger fields carry through unchanged.
-    let mut shim = ConcurrentSea::new(platform(2), 2).unwrap();
-    shim.set_fault_plan(faults());
-    let dur = shim
-        .run_batch_durable(jobs(4, 10), RetryPolicy::default(), ResetPlan::reset_free())
-        .unwrap();
-    let mut pool = engine(2, 2);
-    pool.set_fault_plan(faults());
-    let reference = pool
-        .run(
-            jobs(4, 10),
-            &BatchPolicy::plain()
-                .with_retry(RetryPolicy::default())
-                .with_durability(ResetPlan::reset_free()),
-        )
-        .unwrap();
-    assert_eq!(dur.sessions, reference.sessions);
-    assert_eq!(dur.cpu_busy, reference.cpu_busy);
-    assert_eq!(dur.wall, reference.wall);
-    assert_eq!(dur.resets, reference.resets);
-    assert_eq!(dur.committed, reference.committed);
-    assert_eq!(dur.relaunched, reference.relaunched);
-    assert_eq!(dur.recovery_latency, reference.recovery_latency);
-    assert_eq!(dur.journal_overhead, reference.journal_overhead);
 }

@@ -13,7 +13,7 @@ use sea_core::{
     SessionResult, Slaunch,
 };
 use sea_hw::{CpuId, FaultPlan, Platform, SimDuration};
-use sea_tpm::{KeyStrength, PcrValue, SePcrState, SharedSePcrBank};
+use sea_tpm::KeyStrength;
 
 // ---------------------------------------------------------------------
 // Experiment suite: serial vs 4-worker parallel, byte for byte
@@ -39,54 +39,6 @@ fn suite_serial_and_parallel_are_byte_identical() {
     let figure2 = serial.iter().find(|a| a.name == "Figure 2").unwrap();
     assert!(table1.rendered.contains("177.52"));
     assert!(figure2.rendered.contains("PAL Use"));
-}
-
-// ---------------------------------------------------------------------
-// sePCR bank: 16 threads of Free→Exclusive→Quote→Free churn
-// ---------------------------------------------------------------------
-
-#[test]
-fn sepcr_bank_survives_sixteen_thread_contention() {
-    const THREADS: u16 = 16;
-    const SLOTS: u16 = 8;
-    const ROUNDS: usize = 200;
-
-    let bank = SharedSePcrBank::new(SLOTS);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let bank = &bank;
-            s.spawn(move || {
-                let me = CpuId(t);
-                let m1 = sea_crypto::Sha1::digest(&t.to_le_bytes());
-                let m2 = sea_crypto::Sha1::digest(b"second extend");
-                for round in 0..ROUNDS {
-                    let Ok(h) = bank.allocate(&m1, me) else {
-                        // Bank full — legitimate under contention.
-                        continue;
-                    };
-                    // While we hold the slot Exclusive, no interleaving
-                    // may tear its owner or its measurement chain.
-                    assert_eq!(bank.state(h).unwrap(), SePcrState::Exclusive);
-                    assert_eq!(bank.owner(h).unwrap(), Some(me));
-                    let expect1 = PcrValue::ZERO.extended(&m1);
-                    assert_eq!(bank.read_exclusive(h, me).unwrap(), expect1);
-                    let got = bank.extend(h, me, &m2).unwrap();
-                    assert_eq!(got, expect1.extended(&m2));
-                    if round % 3 == 0 {
-                        // SKILL path: slot goes straight back to Free.
-                        bank.skill(h).unwrap();
-                    } else {
-                        // SFREE path: Exclusive → Quote → Free.
-                        bank.release_to_quote(h, me).unwrap();
-                        assert_eq!(bank.read_for_quote(h).unwrap(), got);
-                        bank.free(h).unwrap();
-                    }
-                }
-            });
-        }
-    });
-    // Conservation: every slot came back, none torn mid-transition.
-    assert_eq!(bank.free_count(), SLOTS);
 }
 
 // ---------------------------------------------------------------------
