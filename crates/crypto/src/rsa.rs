@@ -340,7 +340,8 @@ impl RsaPrivateKey {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidCiphertext`] for malformed input.
+    /// Returns [`CryptoError::InvalidCiphertext`] for malformed input
+    /// (truncated fields, trailing bytes, or a zero `n`, `e` or `d`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
         let mut cursor = bytes;
         let mut read_part = || -> Result<BigUint, CryptoError> {
@@ -359,7 +360,7 @@ impl RsaPrivateKey {
         let n = read_part()?;
         let e = read_part()?;
         let d = read_part()?;
-        if n.is_zero() || e.is_zero() || d.is_zero() {
+        if !cursor.is_empty() || n.is_zero() || e.is_zero() || d.is_zero() {
             return Err(CryptoError::InvalidCiphertext);
         }
         Ok(RsaPrivateKey {
@@ -831,6 +832,10 @@ mod tests {
             zeros.push(0);
         }
         assert!(RsaPrivateKey::from_bytes(&zeros).is_err());
+        // One trailing byte after a well-formed key.
+        let mut trailing = test_key().to_bytes();
+        trailing.push(0);
+        assert!(RsaPrivateKey::from_bytes(&trailing).is_err());
     }
 
     #[test]
