@@ -1104,13 +1104,13 @@ pub fn render_vm_points(points: &[VmPoint], executors_identical: bool) -> String
             "chain hits",
             "chained (ns)",
             "lookup (ns)",
-            "speedup",
+            "modelled speedup",
         ],
         &rows,
     ));
 
     // A terminal rendition of the dispatch-speedup bars.
-    out.push_str("\n  dispatch speedup (1 char = 0.25x)\n");
+    out.push_str("\n  dispatch speedup, modelled gas (1 char = 0.25x)\n");
     for p in points {
         out.push_str(&format!(
             "  {:>22} |{}| {:.2}x\n",
