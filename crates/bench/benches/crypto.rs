@@ -8,7 +8,7 @@
 //! the CI smoke pass.
 
 use sea_bench::timing::{bench, group, mib_per_sec, smoke_mode};
-use sea_crypto::{Drbg, OaepLabel, RsaPrivateKey, Sha1, Sha256};
+use sea_crypto::{Drbg, Hmac, OaepLabel, RsaPrivateKey, Sha1, Sha256};
 
 fn bench_hashing() {
     group("hashing");
@@ -59,6 +59,18 @@ fn bench_drbg() {
     group("drbg");
     let mut rng = Drbg::new(b"bench");
     bench("drbg/fill_1k", || rng.fill(1024));
+    // A sealed checkpoint's keystream: per-block cost, not keying.
+    let t = bench("drbg/fill_16k", || rng.fill(16 << 10));
+    println!(
+        "{:<32} {:>10.1} MiB/s",
+        "",
+        mib_per_sec(16 << 10, t.median())
+    );
+    // One keyed HMAC over a DRBG-block-sized message.
+    let block = [0x42u8; 32];
+    bench("hmac_sha256/32", || {
+        Hmac::<Sha256>::mac(b"bench key", std::hint::black_box(&block))
+    });
 }
 
 fn main() {

@@ -5,7 +5,7 @@
 //! Run with `cargo bench --bench sessions`; set `SEA_BENCH_SMOKE=1` for
 //! the CI smoke pass.
 
-use sea_bench::timing::{bench, group};
+use sea_bench::timing::{bench, group, mib_per_sec};
 use sea_core::{EnhancedSea, FnPal, LegacySea, PalOutcome, SecurePlatform};
 use sea_hw::{CpuId, Platform, SimDuration};
 use sea_tpm::{KeyStrength, PcrIndex, Tpm};
@@ -23,6 +23,22 @@ fn bench_tpm_ops() {
     let blob = tpm.seal(b"state", &[PcrIndex(17)]).unwrap().value;
     bench("unseal", || tpm.unseal(&blob).unwrap());
     bench("quote", || tpm.quote(b"nonce", &[PcrIndex(17)]).unwrap());
+    // A durable checkpoint's size: the keystream and MAC dominate, not
+    // the OAEP key wrap and key derivation the 5-byte rows above show.
+    let state = vec![0x5Au8; 16 << 10];
+    let t = bench("seal/16k", || tpm.seal(&state, &[]).unwrap());
+    println!(
+        "{:<32} {:>10.1} MiB/s",
+        "",
+        mib_per_sec(state.len(), t.median())
+    );
+    let blob = tpm.seal(&state, &[]).unwrap().value;
+    let t = bench("unseal/16k", || tpm.unseal(&blob).unwrap());
+    println!(
+        "{:<32} {:>10.1} MiB/s",
+        "",
+        mib_per_sec(state.len(), t.median())
+    );
 }
 
 fn bench_late_launch() {

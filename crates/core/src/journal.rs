@@ -253,7 +253,10 @@ impl SessionJournal {
     ///
     /// # Errors
     ///
-    /// [`SeaError::JournalCorrupt`] for truncated or malformed input.
+    /// [`SeaError::JournalCorrupt`] for truncated or malformed input,
+    /// including keys that are not strictly ascending: only the
+    /// canonical encoding parses, so a repeated key cannot silently
+    /// replace an earlier record.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SeaError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(MAGIC.len())? != MAGIC {
@@ -263,6 +266,12 @@ impl SessionJournal {
         let mut entries = BTreeMap::new();
         for _ in 0..count {
             let key = r.u64()?;
+            if entries
+                .last_key_value()
+                .is_some_and(|(&last, _)| key <= last)
+            {
+                return Err(SeaError::JournalCorrupt("keys out of order"));
+            }
             let entry = match r.u8()? {
                 0 => JournalEntry::Intent,
                 1 => JournalEntry::Launched,
@@ -499,6 +508,46 @@ mod tests {
             SessionJournal::from_bytes(&bad_tag),
             Err(SeaError::JournalCorrupt("unknown record tag"))
         ));
+        // A repeated key, and two records in descending order.
+        let mut pair = SessionJournal::new();
+        pair.record_intent(1);
+        pair.record_launched(2);
+        let pair_bytes = pair.to_bytes();
+        let (head, records) = pair_bytes.split_at(MAGIC.len() + 4);
+        let (first, second) = records.split_at(records.len() / 2);
+        let mut duplicated = pair_bytes.clone();
+        duplicated[head.len() + first.len()..][..8].copy_from_slice(&1u64.to_be_bytes());
+        let swapped = [head, second, first].concat();
+        for bytes in [duplicated, swapped] {
+            assert!(matches!(
+                SessionJournal::from_bytes(&bytes),
+                Err(SeaError::JournalCorrupt("keys out of order"))
+            ));
+        }
+        // Every proper prefix of a journal holding all four record kinds.
+        let mut full = SessionJournal::new();
+        full.record_intent(0);
+        full.record_launched(1);
+        full.commit(2, &quoted(b"alpha"));
+        full.commit(
+            7,
+            &SessionResult::Degraded {
+                job: 7,
+                output: b"slow path".to_vec(),
+                report: report(),
+            },
+        );
+        let full_bytes = full.to_bytes();
+        assert_eq!(SessionJournal::from_bytes(&full_bytes).unwrap(), full);
+        for cut in 0..full_bytes.len() {
+            assert!(
+                matches!(
+                    SessionJournal::from_bytes(&full_bytes[..cut]),
+                    Err(SeaError::JournalCorrupt(_))
+                ),
+                "cut at {cut}"
+            );
+        }
         // The empty journal round-trips.
         let empty = SessionJournal::new();
         assert!(empty.is_empty());

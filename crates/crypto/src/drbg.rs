@@ -63,13 +63,17 @@ impl Drbg {
     }
 
     /// Fills `out` with the next pseudo-random bytes.
+    ///
+    /// The key is fixed for the whole call, so HMAC is keyed once and
+    /// cloned per 32-byte block: a block costs two SHA-256
+    /// compressions, one inner and one outer.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        let mut written = 0;
-        while written < out.len() {
-            self.value = Hmac::<Sha256>::mac(&self.key, &self.value);
-            let take = (out.len() - written).min(self.value.len());
-            out[written..written + take].copy_from_slice(&self.value[..take]);
-            written += take;
+        let keyed = Hmac::<Sha256>::new(&self.key);
+        for block in out.chunks_mut(self.value.len()) {
+            let mut h = keyed.clone();
+            h.update(&self.value);
+            self.value = h.finalize();
+            block.copy_from_slice(&self.value[..block.len()]);
         }
         self.update(None);
     }
@@ -109,6 +113,34 @@ impl Drbg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha1::Sha1;
+
+    #[test]
+    fn output_stream_known_answer() {
+        // Fill lengths on both sides of the 32-byte HMAC block, a
+        // checkpoint-sized draw, and every other way the state advances
+        // (including a reseed with empty material), folded into one
+        // SHA-1 recorded from the SP 800-90A reference loop that re-keys
+        // HMAC for every block.
+        let mut rng = Drbg::new(b"known answer seed");
+        let mut fold = Sha1::new();
+        for (i, n) in [0usize, 1, 16, 31, 32, 33, 64, 100, 13_800]
+            .into_iter()
+            .enumerate()
+        {
+            fold.update_bytes(&rng.fill(n));
+            match i % 4 {
+                0 => rng.reseed(&[i as u8; 5]),
+                1 => fold.update_bytes(&rng.next_u64().to_be_bytes()),
+                2 => fold.update_bytes(&rng.next_below(1000 + i as u64).to_be_bytes()),
+                _ => rng.reseed(b""),
+            }
+        }
+        assert_eq!(
+            crate::to_hex(&fold.finalize_fixed()),
+            "bc35758705cb93874ed9bc014c3616765b21cbe6"
+        );
+    }
 
     #[test]
     fn deterministic_from_seed() {

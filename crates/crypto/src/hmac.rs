@@ -7,6 +7,12 @@ use crate::digest::Digest;
 
 /// Incremental HMAC computation over digest `D`.
 ///
+/// Keying absorbs the ipad and opad blocks once and keeps both
+/// midstates, so a keyed instance can be cloned per message: each MAC
+/// then costs only the compressions of its message and of the outer
+/// hash over the inner digest: one each for a message under 56 bytes,
+/// such as a DRBG block.
+///
 /// # Example
 ///
 /// ```
@@ -21,7 +27,7 @@ use crate::digest::Digest;
 #[derive(Debug, Clone)]
 pub struct Hmac<D: Digest> {
     inner: D,
-    opad_key: Vec<u8>,
+    outer: D,
 }
 
 impl<D: Digest> Hmac<D> {
@@ -30,20 +36,21 @@ impl<D: Digest> Hmac<D> {
     /// Keys longer than the digest block size are first hashed, per
     /// RFC 2104.
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = vec![0u8; D::BLOCK_LEN];
+        let mut pad = vec![0u8; D::BLOCK_LEN];
         if key.len() > D::BLOCK_LEN {
             let hashed = D::digest_oneshot(key);
-            key_block[..hashed.len()].copy_from_slice(&hashed);
+            pad[..hashed.len()].copy_from_slice(&hashed);
         } else {
-            key_block[..key.len()].copy_from_slice(key);
+            pad[..key.len()].copy_from_slice(key);
         }
 
-        let ipad_key: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-        let opad_key: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-
+        pad.iter_mut().for_each(|b| *b ^= 0x36);
         let mut inner = D::new();
-        inner.update(&ipad_key);
-        Hmac { inner, opad_key }
+        inner.update(&pad);
+        pad.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        let mut outer = D::new();
+        outer.update(&pad);
+        Hmac { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -54,10 +61,8 @@ impl<D: Digest> Hmac<D> {
     /// Consumes the instance and returns the MAC tag
     /// (`D::OUTPUT_LEN` bytes).
     pub fn finalize(self) -> Vec<u8> {
-        let inner_digest = self.inner.finalize();
-        let mut outer = D::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -68,13 +73,14 @@ impl<D: Digest> Hmac<D> {
         h.finalize()
     }
 
-    /// Constant-time-ish tag comparison (length check plus full scan).
+    /// Consumes the instance and compares its tag with `tag`
+    /// (length check plus full scan).
     ///
     /// The simulator does not model micro-architectural timing channels,
     /// but the full-scan comparison documents intent and avoids trivially
     /// short-circuiting comparisons in security-relevant paths.
-    pub fn verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-        let expected = Self::mac(key, message);
+    pub fn verify_tag(self, tag: &[u8]) -> bool {
+        let expected = self.finalize();
         if expected.len() != tag.len() {
             return false;
         }
@@ -83,6 +89,14 @@ impl<D: Digest> Hmac<D> {
             diff |= a ^ b;
         }
         diff == 0
+    }
+
+    /// Whether `tag` is the MAC of `message` under `key`, compared as
+    /// [`Hmac::verify_tag`] does.
+    pub fn verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
+        let mut h = Self::new(key);
+        h.update(message);
+        h.verify_tag(tag)
     }
 }
 
@@ -169,6 +183,45 @@ mod tests {
         h.update(b" ");
         h.update(b"world");
         assert_eq!(h.finalize(), tag);
+    }
+
+    /// Tags under every key-length regime (empty, short, exactly one
+    /// block, one byte past a block so the key is hashed first, long)
+    /// over messages around the inner block boundary, fed whole, split,
+    /// and through a clone of one keyed instance, folded into one SHA-1.
+    fn known_answer_fold<D: Digest>() -> String {
+        let mut fold = Sha1::new();
+        for key_len in [0usize, 20, 64, 65, 131] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 13 + 5) as u8).collect();
+            let keyed = Hmac::<D>::new(&key);
+            for msg_len in [0usize, 1, 55, 64, 65, 200] {
+                let msg: Vec<u8> = (0..msg_len).map(|i| (i * 7 + 1) as u8).collect();
+                let tag = Hmac::<D>::mac(&key, &msg);
+                let (head, tail) = msg.split_at(msg_len / 2);
+                let mut split = keyed.clone();
+                split.update(head);
+                split.update(tail);
+                assert_eq!(split.finalize(), tag, "key {key_len} msg {msg_len}");
+                fold.update_bytes(&tag);
+            }
+        }
+        hex(&fold.finalize_fixed())
+    }
+
+    #[test]
+    fn hmac_sha1_key_lengths_known_answer() {
+        assert_eq!(
+            known_answer_fold::<Sha1>(),
+            "42c7d9bd606b3682f118fff3ae2cd3146ed98e20"
+        );
+    }
+
+    #[test]
+    fn hmac_sha256_key_lengths_known_answer() {
+        assert_eq!(
+            known_answer_fold::<Sha256>(),
+            "7620b3d377a0e8dc8d33c96e32809292792f085a"
+        );
     }
 
     #[test]

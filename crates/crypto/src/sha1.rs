@@ -99,16 +99,19 @@ impl Sha1 {
 
     /// Consumes the hasher, returning the digest as a fixed-size array.
     pub fn finalize_fixed(mut self) -> [u8; SHA1_DIGEST_LEN] {
+        // The 0x80 terminator and zero padding, then the 64-bit bit
+        // length in the last 8 bytes, spilling into a second block when
+        // fewer than 9 bytes of this one are free.
         let bit_len = self.len.wrapping_mul(8);
-        // Append the 0x80 terminator, zero padding, then the 64-bit length.
-        self.update_bytes(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_bytes(&[0]);
+        let used = self.buf_len;
+        self.buf[used] = 0x80;
+        self.buf[used + 1..].fill(0);
+        if used >= BLOCK_LEN - 8 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; BLOCK_LEN];
         }
-        // Manually absorb the length so `self.len` bookkeeping is irrelevant.
-        let mut final_block = [0u8; 8];
-        final_block.copy_from_slice(&bit_len.to_be_bytes());
-        self.buf[56..64].copy_from_slice(&final_block);
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -260,6 +263,30 @@ mod tests {
             h.update_bytes(&[*b]);
         }
         assert_eq!(h.finalize_fixed(), Sha1::digest(data));
+    }
+
+    #[test]
+    fn every_padding_length_known_answer() {
+        // Lengths 0..=130 put the 0x80 terminator and the length word at
+        // every offset of one- and two-block finals. Each message is fed
+        // whole and one byte at a time; the digests are folded into one
+        // value recorded from the byte-at-a-time padding this hasher
+        // first shipped with.
+        let data: Vec<u8> = (0..=130u32).map(|i| (i * 37 + 11) as u8).collect();
+        let mut fold = Sha1::new();
+        for len in 0..=130 {
+            let whole = Sha1::digest(&data[..len]);
+            let mut h = Sha1::new();
+            for b in &data[..len] {
+                h.update_bytes(&[*b]);
+            }
+            assert_eq!(h.finalize_fixed(), whole, "len {len}");
+            fold.update_bytes(&whole);
+        }
+        assert_eq!(
+            hex(&fold.finalize_fixed()),
+            "e692b3bd0a527de7772c57da8e1b06fc2894026c"
+        );
     }
 
     #[test]

@@ -99,12 +99,19 @@ impl Sha256 {
 
     /// Consumes the hasher, returning the digest as a fixed-size array.
     pub fn finalize_fixed(mut self) -> [u8; SHA256_DIGEST_LEN] {
+        // The 0x80 terminator and zero padding, then the 64-bit bit
+        // length in the last 8 bytes, spilling into a second block when
+        // fewer than 9 bytes of this one are free.
         let bit_len = self.len.wrapping_mul(8);
-        self.update_bytes(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_bytes(&[0]);
+        let used = self.buf_len;
+        self.buf[used] = 0x80;
+        self.buf[used + 1..].fill(0);
+        if used >= BLOCK_LEN - 8 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; BLOCK_LEN];
         }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -227,5 +234,29 @@ mod tests {
             h.update_bytes(&data[split..]);
             assert_eq!(h.finalize_fixed(), Sha256::digest(&data), "split {split}");
         }
+    }
+
+    #[test]
+    fn every_padding_length_known_answer() {
+        // Lengths 0..=130 put the 0x80 terminator and the length word at
+        // every offset of one- and two-block finals. Each message is fed
+        // whole and one byte at a time; the digests are folded into one
+        // value recorded from the byte-at-a-time padding this hasher
+        // first shipped with.
+        let data: Vec<u8> = (0..=130u32).map(|i| (i * 37 + 11) as u8).collect();
+        let mut fold = Sha256::new();
+        for len in 0..=130 {
+            let whole = Sha256::digest(&data[..len]);
+            let mut h = Sha256::new();
+            for b in &data[..len] {
+                h.update_bytes(&[*b]);
+            }
+            assert_eq!(h.finalize_fixed(), whole, "len {len}");
+            fold.update_bytes(&whole);
+        }
+        assert_eq!(
+            hex(&fold.finalize_fixed()),
+            "cec4c6d09a19510a15db5bcadc0491d8921c4ac138b9237e9b623d4c0998fb45"
+        );
     }
 }

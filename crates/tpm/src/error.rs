@@ -48,6 +48,12 @@ pub enum TpmError {
     },
     /// A `TPM_HASH_DATA`/`TPM_HASH_END` arrived with no open hash session.
     NoHashSession,
+    /// `TPM_Seal` was given more PCR indices than a sealed blob can
+    /// record (its encoding counts them in one byte, so at most 255).
+    SelectionTooLong {
+        /// The number of indices requested.
+        len: usize,
+    },
     /// The command died on the LPC transport before the TPM processed
     /// it (injected by the fault substrate). Retryable faults are bus
     /// glitches; non-retryable ones model a wedged chip.
@@ -97,6 +103,12 @@ impl fmt::Display for TpmError {
                 write!(f, "TPM lock is held by {holder}")
             }
             TpmError::NoHashSession => write!(f, "no open TPM_HASH session"),
+            TpmError::SelectionTooLong { len } => {
+                write!(
+                    f,
+                    "PCR selection of {len} indices exceeds the 255 a blob records"
+                )
+            }
             TpmError::TransportFault { retryable: true } => {
                 write!(f, "transient LPC transport fault (retryable)")
             }
@@ -143,6 +155,7 @@ mod tests {
             },
             TpmError::LockHeld { holder: CpuId(0) },
             TpmError::NoHashSession,
+            TpmError::SelectionTooLong { len: 256 },
             TpmError::TransportFault { retryable: true },
             TpmError::TransportFault { retryable: false },
             TpmError::Crypto(CryptoError::InvalidCiphertext),

@@ -23,6 +23,10 @@ use crate::pcr::PcrIndex;
 /// of even the demo 512-bit SRK (`k − 2·hLen − 2 = 22` bytes).
 const SYM_KEY_LEN: usize = 16;
 
+/// The most PCR indices a sealed blob can record: the selection
+/// encoding counts them in one byte.
+pub(crate) const MAX_SELECTION_LEN: usize = u8::MAX as usize;
+
 /// What a sealed blob is bound to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum SealSelection {
@@ -38,7 +42,8 @@ impl SealSelection {
     fn encode(&self) -> Vec<u8> {
         match self {
             SealSelection::Pcrs(idx) => {
-                let mut out = vec![0x00, idx.len() as u8];
+                let n = u8::try_from(idx.len()).expect("Tpm::seal bounds the selection length");
+                let mut out = vec![0x00, n];
                 out.extend(idx.iter().map(|i| i.0));
                 out
             }
@@ -165,16 +170,28 @@ fn derive(key: &[u8], purpose: &[u8]) -> Vec<u8> {
     Hmac::<Sha256>::mac(key, purpose)
 }
 
-fn keystream(key: &[u8], len: usize) -> Vec<u8> {
-    let mut stream_rng = Drbg::new(&derive(key, b"stream"));
-    stream_rng.fill(len)
+/// XORs `data` with the keystream derived from `key`: encrypts on seal,
+/// decrypts on unseal.
+fn apply_keystream(key: &[u8], data: &[u8]) -> Vec<u8> {
+    let mut out = Drbg::new(&derive(key, b"stream")).fill(data.len());
+    out.iter_mut().zip(data).for_each(|(s, d)| *s ^= d);
+    out
 }
 
-fn mac_input(selection: &SealSelection, composite: &Sha1Digest, ciphertext: &[u8]) -> Vec<u8> {
-    let mut m = selection.encode();
-    m.extend_from_slice(composite);
-    m.extend_from_slice(ciphertext);
-    m
+/// The blob's MAC state with every authenticated field absorbed in
+/// order, selection ‖ composite ‖ ciphertext, without copying the
+/// (checkpoint-sized) ciphertext into one message buffer.
+fn blob_mac(
+    key: &[u8],
+    selection: &SealSelection,
+    composite: &Sha1Digest,
+    ciphertext: &[u8],
+) -> Hmac<Sha256> {
+    let mut h = Hmac::<Sha256>::new(&derive(key, b"mac"));
+    h.update(&selection.encode());
+    h.update(composite);
+    h.update(ciphertext);
+    h
 }
 
 /// Builds a sealed blob binding `data` to `composite` under the SRK's
@@ -188,12 +205,8 @@ pub(crate) fn seal_payload(
 ) -> Result<SealedBlob, CryptoError> {
     let sym_key = rng.fill(SYM_KEY_LEN);
     let enc_key = srk_public.encrypt_oaep(&sym_key, &OaepLabel(OAEP_LABEL.to_vec()), rng)?;
-    let stream = keystream(&sym_key, data.len());
-    let ciphertext: Vec<u8> = data.iter().zip(&stream).map(|(d, s)| d ^ s).collect();
-    let mac = Hmac::<Sha256>::mac(
-        &derive(&sym_key, b"mac"),
-        &mac_input(&selection, &composite, &ciphertext),
-    );
+    let ciphertext = apply_keystream(&sym_key, data);
+    let mac = blob_mac(&sym_key, &selection, &composite, &ciphertext).finalize();
     Ok(SealedBlob {
         selection,
         composite,
@@ -217,12 +230,8 @@ pub(crate) fn unseal_payload(
     if sym_key.len() != SYM_KEY_LEN {
         return Err(TpmError::InvalidBlob);
     }
-    let ok = Hmac::<Sha256>::verify(
-        &derive(&sym_key, b"mac"),
-        &mac_input(&blob.selection, &blob.composite, &blob.ciphertext),
-        &blob.mac,
-    );
-    if !ok {
+    let mac = blob_mac(&sym_key, &blob.selection, &blob.composite, &blob.ciphertext);
+    if !mac.verify_tag(&blob.mac) {
         return Err(TpmError::InvalidBlob);
     }
     // The integrity check passed, so the stored composite is authentic;
@@ -230,18 +239,13 @@ pub(crate) fn unseal_payload(
     if &blob.composite != current_composite {
         return Err(TpmError::WrongPcrState);
     }
-    let stream = keystream(&sym_key, blob.ciphertext.len());
-    Ok(blob
-        .ciphertext
-        .iter()
-        .zip(&stream)
-        .map(|(c, s)| c ^ s)
-        .collect())
+    Ok(apply_keystream(&sym_key, &blob.ciphertext))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sea_crypto::{to_hex, Sha1};
 
     fn srk() -> RsaPrivateKey {
         RsaPrivateKey::generate(512, &mut Drbg::new(b"test srk")).unwrap()
@@ -474,6 +478,72 @@ mod tests {
         surplus.push(19);
         surplus.extend_from_slice(&pcr_bytes[6 + sel_field.len()..]);
         assert_eq!(SealedBlob::from_bytes(&surplus), Err(TpmError::InvalidBlob));
+    }
+
+    #[test]
+    fn sealed_bytes_known_answer() {
+        // Every byte a seal emits — OAEP-wrapped key, keystream, MAC —
+        // for payloads around the 32-byte keystream block and one the
+        // size of a durable checkpoint, under PCR, empty and sePCR
+        // selections, folded into one SHA-1 recorded from the reference
+        // construction (a fresh HMAC key per keystream block, MAC over a
+        // concatenated copy of its input).
+        let key = srk();
+        let mut rng = Drbg::new(b"seal known answer");
+        let mut fold = Sha1::new();
+        for sel in [
+            SealSelection::Pcrs(vec![PcrIndex(17), PcrIndex(18)]),
+            SealSelection::Pcrs(vec![]),
+            SealSelection::SePcr,
+        ] {
+            for n in [0usize, 1, 32, 13_800] {
+                let data: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
+                let c = composite(n as u8);
+                let blob = seal_payload(key.public_key(), &mut rng, sel.clone(), c, &data).unwrap();
+                assert_eq!(unseal_payload(&key, &blob, &c).unwrap(), data);
+                fold.update_bytes(&blob.to_bytes());
+            }
+        }
+        assert_eq!(
+            to_hex(&fold.finalize_fixed()),
+            "d769f0d9ff41d3f3a9f85787fdd0f65746deac29"
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        // The MAC must cover every field a stored blob carries: a flip
+        // anywhere either breaks the encoding or fails the unseal-time
+        // check, and never releases the plaintext.
+        let key = srk();
+        let mut rng = Drbg::new(b"rng");
+        for sel in [
+            SealSelection::Pcrs(vec![PcrIndex(17)]),
+            SealSelection::Pcrs(vec![]),
+            SealSelection::SePcr,
+        ] {
+            let blob = seal_payload(key.public_key(), &mut rng, sel, composite(1), b"pal").unwrap();
+            let bytes = blob.to_bytes();
+            let mut unsealed = 0;
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(parsed) = SealedBlob::from_bytes(&flipped) {
+                    assert_eq!(
+                        unseal_payload(&key, &parsed, &composite(1)),
+                        Err(TpmError::InvalidBlob),
+                        "bit {bit} of {:?}",
+                        blob.selection
+                    );
+                    unsealed += 1;
+                }
+            }
+            // Every bit of the composite, wrapped key, ciphertext and
+            // MAC got past the parser to unseal.
+            let fields =
+                blob.composite.len() + blob.enc_key.len() + blob.ciphertext.len() + blob.mac.len();
+            assert!(unsealed >= fields * 8, "{unsealed} of {:?}", blob.selection);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::lock::TpmLock;
 use crate::nvram::Nvram;
 use crate::pcr::{PcrBank, PcrIndex, PcrValue};
 use crate::quote::{quote_digest, Quote, QuoteSource, WireQuote};
-use crate::seal::{seal_payload, unseal_payload, SealSelection, SealedBlob};
+use crate::seal::{seal_payload, unseal_payload, SealSelection, SealedBlob, MAX_SELECTION_LEN};
 use crate::sepcr::{SePcrBank, SePcrHandle};
 use crate::timing::{TpmOp, TpmTimingModel};
 
@@ -378,13 +378,20 @@ impl Tpm {
     /// # Errors
     ///
     /// [`TpmError::PcrOutOfRange`] for a bad selection;
-    /// [`TpmError::Crypto`] on internal failure.
+    /// [`TpmError::SelectionTooLong`] for more than 255 indices, which
+    /// the blob encoding cannot record (refused before any randomness is
+    /// drawn); [`TpmError::Crypto`] on internal failure.
     pub fn seal(
         &mut self,
         data: &[u8],
         selection: &[PcrIndex],
     ) -> Result<Timed<SealedBlob>, TpmError> {
         self.transport_gate()?;
+        if selection.len() > MAX_SELECTION_LEN {
+            return Err(TpmError::SelectionTooLong {
+                len: selection.len(),
+            });
+        }
         let composite = self.pcrs.composite(selection)?;
         let blob = seal_payload(
             self.srk.public_key(),
@@ -988,6 +995,28 @@ mod tests {
         let blob = SealedBlob::from_bytes(&raw).unwrap();
         let opened = t.unseal(&blob).unwrap().value;
         assert_eq!(opened, b"write-ahead journal");
+    }
+
+    #[test]
+    fn seal_refuses_selections_a_blob_cannot_record() {
+        // Duplicates are legal in a selection, so its length alone can
+        // outgrow the blob's one-byte index count. Unbounded, such a seal
+        // would unseal in memory yet fail to load from its own bytes.
+        let mut t = tpm();
+        let mut fresh = tpm();
+        let too_long: Vec<PcrIndex> = (0..256).map(|i| PcrIndex(i as u8 % 24)).collect();
+        assert_eq!(
+            t.seal(b"state", &too_long).unwrap_err(),
+            TpmError::SelectionTooLong { len: 256 }
+        );
+        // Refused before any randomness was drawn: the next seal matches
+        // one from a TPM that never saw the oversized request.
+        let longest = &too_long[..MAX_SELECTION_LEN];
+        let sealed = t.seal(b"state", longest).unwrap().value;
+        assert_eq!(sealed, fresh.seal(b"state", longest).unwrap().value);
+        let back = SealedBlob::from_bytes(&sealed.to_bytes()).unwrap();
+        assert_eq!(back, sealed);
+        assert_eq!(t.unseal(&back).unwrap().value, b"state");
     }
 
     #[test]
