@@ -171,22 +171,6 @@ pub(crate) fn run_epoch<A: Architecture>(
                     }
                 }
 
-                if gated {
-                    // This CPU holds the TPM gate and is about to
-                    // quote; every other session parked at the quote
-                    // edge will follow as the gate drains. Hand the
-                    // whole cohort to the architecture so it can batch
-                    // the signing work (semantically invisible — same
-                    // bytes, same costs — per the trait contract).
-                    let cohort: Vec<(&A::Live, [u8; 8])> = cpus
-                        .iter()
-                        .filter_map(|c| c.current.as_ref().and_then(|d| d.quote_request()))
-                        .collect();
-                    if cohort.len() > 1 {
-                        A::prepare_quotes(&mut lock(rt), &cohort);
-                    }
-                }
-
                 let journal = match &mode {
                     WorkerMode::Durable(ctx) => Some(ctx.journal),
                     _ => None,

@@ -171,18 +171,6 @@ impl<A: Architecture> SessionDriver<A> {
         matches!(self.phase, Phase::Quote(_))
     }
 
-    /// The quote this session will issue next, if it sits at the quote
-    /// edge: the live handle plus the deterministic per-job nonce the
-    /// quote phase derives from the batch index. The discrete-event
-    /// executor collects these across virtual CPUs into a cohort for
-    /// [`Architecture::prepare_quotes`].
-    pub(crate) fn quote_request(&self) -> Option<(&A::Live, [u8; 8])> {
-        match &self.phase {
-            Phase::Quote(live) => Some((live, (self.index as u64).to_le_bytes())),
-            _ => None,
-        }
-    }
-
     /// Reclaims the job (for relaunch after a torn epoch). Only
     /// meaningful once the driver is terminal or before it started.
     pub(crate) fn into_job(self) -> ConcurrentJob {

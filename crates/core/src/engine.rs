@@ -358,15 +358,6 @@ pub trait Architecture: Send + Sync + 'static {
         key: Option<u64>,
     ) -> Result<Timed<Quote>, SeaError>;
 
-    /// Hint that every session in `cohort` sits at the quote edge and
-    /// will issue [`Architecture::quote`] with the paired nonce as the
-    /// TPM gate drains. Architectures that can batch-amortize quote
-    /// signing (shared CRT context across same-key signatures) override
-    /// this; the work must be semantically invisible — same attestation
-    /// bytes, same virtual-time costs — whether or not the hint fires.
-    /// The default does nothing.
-    fn prepare_quotes(_rt: &mut Self::Runtime, _cohort: &[(&Self::Live, [u8; 8])]) {}
-
     /// Tears a session down mid-flight, reclaiming its resources.
     fn kill(
         rt: &OrderedLock<Self::Runtime>,
@@ -472,10 +463,6 @@ impl Architecture for Slaunch {
             None => lock(rt).quote_and_free(*live, nonce),
             Some(key) => lock(rt).quote_and_free_keyed(*live, nonce, key),
         }
-    }
-
-    fn prepare_quotes(rt: &mut EnhancedSea, cohort: &[(&PalId, [u8; 8])]) {
-        rt.prepare_quotes(cohort);
     }
 
     fn kill(rt: &OrderedLock<EnhancedSea>, live: &mut PalId, key: u64) -> Result<(), SeaError> {

@@ -201,14 +201,9 @@ impl EnhancedSea {
     /// never inject. Installing a plan resets all per-session roll
     /// cursors, so the injection stream is a pure function of
     /// `(plan, session key, operation order within the session)`.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
+    pub(crate) fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan;
         self.fault_cursors.clear();
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// A full power loss: every live PAL evaporates (their pages, SECBs,
@@ -636,39 +631,6 @@ impl EnhancedSea {
         Ok(wire.map(|_| quote))
     }
 
-    /// Batch pre-signing for a cohort of PALs all sitting at the quote
-    /// edge: resolves each `Done` PAL's sePCR handle and asks the TPM
-    /// to prepare the cohort's quote signatures in one shared-context
-    /// batch ([`sea_tpm::Tpm::prepare_sepcr_quotes`]).
-    ///
-    /// Best-effort and semantically invisible — [`EnhancedSea::quote_and_free`]
-    /// consumes a prepared signature when its digest matches and signs
-    /// on its own otherwise, and the batch signer is byte-identical to
-    /// the one-at-a-time signer, so attestation bytes and virtual-time
-    /// costs are unchanged either way.
-    pub(crate) fn prepare_quotes(&mut self, cohort: &[(&PalId, [u8; 8])]) {
-        let mut requests: Vec<(sea_tpm::SePcrHandle, [u8; 8])> = Vec::new();
-        for (id, nonce) in cohort {
-            let Some(run) = self.pals.get(&id.0) else {
-                continue;
-            };
-            if run.secb.lifecycle() != PalLifecycle::Done {
-                continue;
-            }
-            let Some(handle) = run.secb.sepcr() else {
-                continue;
-            };
-            requests.push((handle, *nonce));
-        }
-        if requests.is_empty() {
-            return;
-        }
-        let (_, tpm) = self.platform.parts_mut();
-        if let Some(tpm) = tpm {
-            tpm.prepare_sepcr_quotes(&requests);
-        }
-    }
-
     /// §6 *Multicore PALs*: joins `new_cpu` to a PAL currently in the
     /// `Execute` state, granting it access to the PAL's pages so the
     /// application can parallelize internally ("a mechanism is needed to
@@ -849,7 +811,7 @@ impl EnhancedSea {
     ///
     /// As for [`EnhancedSea::slaunch`], plus [`SeaError::Tpm`] with
     /// [`TpmError::TransportFault`] for injected faults.
-    pub fn slaunch_keyed(
+    pub(crate) fn slaunch_keyed(
         &mut self,
         pal: &mut dyn PalLogic,
         input: &[u8],
@@ -877,7 +839,7 @@ impl EnhancedSea {
     /// # Errors
     ///
     /// As for [`EnhancedSea::step`].
-    pub fn step_keyed(
+    pub(crate) fn step_keyed(
         &mut self,
         pal: &mut dyn PalLogic,
         id: PalId,
@@ -927,7 +889,7 @@ impl EnhancedSea {
     ///
     /// As for [`EnhancedSea::resume`], plus [`SeaError::Hw`] with
     /// [`sea_hw::HwError::AccessDenied`] for injected denials.
-    pub fn resume_keyed(&mut self, id: PalId, cpu: CpuId, key: u64) -> Result<(), SeaError> {
+    pub(crate) fn resume_keyed(&mut self, id: PalId, cpu: CpuId, key: u64) -> Result<(), SeaError> {
         let obs = self.obs();
         obs.set_track(key);
         obs.open(Layer::Core, "session.resume");
@@ -977,7 +939,7 @@ impl EnhancedSea {
     ///
     /// As for [`EnhancedSea::quote_and_free`], plus [`SeaError::Tpm`]
     /// with [`TpmError::TransportFault`] for injected faults.
-    pub fn quote_and_free_keyed(
+    pub(crate) fn quote_and_free_keyed(
         &mut self,
         id: PalId,
         nonce: &[u8],
@@ -1000,7 +962,7 @@ impl EnhancedSea {
     /// # Errors
     ///
     /// [`SeaError::WrongLifecycle`] outside `Execute`.
-    pub fn preempt(&mut self, id: PalId) -> Result<(), SeaError> {
+    pub(crate) fn preempt(&mut self, id: PalId) -> Result<(), SeaError> {
         let run = self.pals.get_mut(&id.0).ok_or(SeaError::NoSuchPal(id.0))?;
         if run.secb.lifecycle() != PalLifecycle::Execute {
             return Err(SeaError::WrongLifecycle {
@@ -1040,7 +1002,7 @@ impl EnhancedSea {
     ///
     /// [`SeaError::NoSuchPal`] for unknown identifiers and
     /// [`SeaError::WrongLifecycle`] for PALs still mid-launch.
-    pub fn kill_session(&mut self, id: PalId, key: u64) -> Result<(), SeaError> {
+    pub(crate) fn kill_session(&mut self, id: PalId, key: u64) -> Result<(), SeaError> {
         let obs = self.obs();
         obs.set_track(key);
         obs.open(Layer::Core, "session.kill");
@@ -1099,7 +1061,7 @@ impl EnhancedSea {
     ///
     /// Propagates hardware, TPM, and PAL-logic failures; the launch CPU
     /// is restored to normal operation even when the PAL logic fails.
-    pub fn run_legacy_fallback(
+    pub(crate) fn run_legacy_fallback(
         &mut self,
         pal: &mut dyn PalLogic,
         input: &[u8],

@@ -543,9 +543,8 @@ impl Signed {
 /// Montgomery multiplication context (CIOS method) for an odd modulus.
 ///
 /// Crate-internal: [`BigUint::modexp`] builds one per call, and the RSA
-/// CRT/batch signing paths ([`crate::rsa`]) build one per prime half and
-/// reuse it across a whole batch of signatures, amortizing the `R^2 mod m`
-/// precomputation that dominates context setup.
+/// CRT path ([`crate::rsa`]) builds one per prime half for every
+/// private-key operation.
 pub(crate) struct Montgomery {
     m: Vec<u64>,
     n0inv: u64,

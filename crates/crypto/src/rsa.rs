@@ -20,12 +20,11 @@
 //! Private-key operations use the Chinese Remainder Theorem when the prime
 //! factorization is available (always, for generated keys): two half-size
 //! exponentiations over `p` and `q` replace one full-size exponentiation,
-//! and [`RsaPrivateKey::sign_pkcs1v15_batch`] amortizes the Montgomery
-//! context setup across a batch of same-key signatures. CRT results are
-//! checked against the public exponent before release (a Bellcore-style
-//! fault on either half yields [`CryptoError::CrtFault`], never a
-//! forgeable signature), so CRT and non-CRT paths are byte-identical on
-//! every input.
+//! each through a Montgomery context built for that operation. CRT
+//! results are checked against the public exponent before release (a
+//! Bellcore-style fault on either half yields [`CryptoError::CrtFault`],
+//! never a forgeable signature), so CRT and non-CRT paths are
+//! byte-identical on every input.
 
 use crate::bignum::{BigUint, Montgomery};
 use crate::digest::Digest;
@@ -409,15 +408,9 @@ impl RsaPrivateKey {
 
     /// Runs the CRT private operation `c^d mod n` via Garner recombination
     /// and verifies the result against the public exponent before release.
-    fn crt_private_op(
-        &self,
-        crt: &CrtParams,
-        mp: &Montgomery,
-        mq: &Montgomery,
-        c: &BigUint,
-    ) -> Result<BigUint, CryptoError> {
-        let m1 = mp.modexp(&c.rem_ref(&crt.p), &crt.dp);
-        let m2 = mq.modexp(&c.rem_ref(&crt.q), &crt.dq);
+    fn crt_private_op(&self, crt: &CrtParams, c: &BigUint) -> Result<BigUint, CryptoError> {
+        let m1 = Montgomery::new(&crt.p).modexp(&c.rem_ref(&crt.p), &crt.dp);
+        let m2 = Montgomery::new(&crt.q).modexp(&c.rem_ref(&crt.q), &crt.dq);
         // h = qinv * (m1 - m2) mod p, lifting m1 by p to avoid underflow.
         let m2p = m2.rem_ref(&crt.p);
         let diff = m1
@@ -449,11 +442,7 @@ impl RsaPrivateKey {
             return Err(CryptoError::ValueOutOfRange);
         }
         match &self.crt {
-            Some(crt) => {
-                let mp = Montgomery::new(&crt.p);
-                let mq = Montgomery::new(&crt.q);
-                self.crt_private_op(crt, &mp, &mq, c)
-            }
+            Some(crt) => self.crt_private_op(crt, c),
             None => Ok(c.modexp(&self.d, &self.public.n)),
         }
     }
@@ -475,48 +464,6 @@ impl RsaPrivateKey {
         let m = BigUint::from_bytes_be(&em);
         let s = self.raw_decrypt(&m)?;
         Ok(Signature(s.to_bytes_be_padded(k)))
-    }
-
-    /// Signs a batch of 20-byte SHA-1 digests under this key, sharing the
-    /// per-prime Montgomery contexts across the whole batch.
-    ///
-    /// Output is element-for-element byte-identical to calling
-    /// [`RsaPrivateKey::sign_pkcs1v15`] on each digest; the batch form
-    /// exists so same-epoch quote signatures amortize the `R^2 mod p`
-    /// context setup instead of repeating it per signature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidKeySize`] if the modulus is too small
-    /// to hold the encoded digest, and [`CryptoError::CrtFault`] if any
-    /// CRT result fails the public-exponent consistency check (no partial
-    /// batch is returned).
-    pub fn sign_pkcs1v15_batch(
-        &self,
-        digests: &[[u8; SHA1_DIGEST_LEN]],
-    ) -> Result<Vec<Signature>, CryptoError> {
-        let k = self.public.modulus_len();
-        if k < SHA1_DIGEST_INFO_PREFIX.len() + SHA1_DIGEST_LEN + 11 {
-            return Err(CryptoError::InvalidKeySize {
-                bits: self.public.modulus_bits(),
-            });
-        }
-        let contexts = self
-            .crt
-            .as_ref()
-            .map(|crt| (crt, Montgomery::new(&crt.p), Montgomery::new(&crt.q)));
-        digests
-            .iter()
-            .map(|digest| {
-                // EMSA output starts 0x00 0x01, so m < n always holds.
-                let m = BigUint::from_bytes_be(&emsa_pkcs1_v15_encode(digest, k));
-                let s = match &contexts {
-                    Some((crt, mp, mq)) => self.crt_private_op(crt, mp, mq, &m)?,
-                    None => m.modexp(&self.d, &self.public.n),
-                };
-                Ok(Signature(s.to_bytes_be_padded(k)))
-            })
-            .collect()
     }
 
     /// Decrypts an OAEP-style ciphertext produced by
@@ -873,26 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_signing_matches_individual_signatures() {
-        let key = test_key();
-        let digests = [
-            Sha1::digest(b"session 0"),
-            Sha1::digest(b"session 1"),
-            Sha1::digest(b"session 2"),
-        ];
-        let batch = key.sign_pkcs1v15_batch(&digests).unwrap();
-        assert_eq!(batch.len(), digests.len());
-        for (digest, sig) in digests.iter().zip(&batch) {
-            assert_eq!(&key.sign_pkcs1v15(digest).unwrap(), sig);
-            assert!(key.public_key().verify_pkcs1v15(digest, sig));
-        }
-        // A CRT-less key takes the fallback path to the same bytes.
-        let classic = RsaPrivateKey::from_bytes(&key.to_bytes()).unwrap();
-        assert_eq!(classic.sign_pkcs1v15_batch(&digests).unwrap(), batch);
-        assert!(key.sign_pkcs1v15_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
     fn with_crt_rearms_a_restored_key() {
         let key = test_key();
         let crt = key.crt.clone().unwrap();
@@ -935,10 +862,6 @@ mod tests {
         let digest = Sha1::digest(b"faulted");
         assert_eq!(
             key.sign_pkcs1v15(&digest).err(),
-            Some(CryptoError::CrtFault)
-        );
-        assert_eq!(
-            key.sign_pkcs1v15_batch(&[digest]).err(),
             Some(CryptoError::CrtFault)
         );
     }

@@ -74,7 +74,7 @@ pub const RATE_DENOM: u32 = 65536;
 
 #[derive(Debug, Clone)]
 pub(crate) struct XorShift {
-    pub(crate) state: u64,
+    state: u64,
 }
 
 impl XorShift {
@@ -82,6 +82,21 @@ impl XorShift {
         XorShift {
             state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
         }
+    }
+
+    /// The generator for one keyed roll of a seeded plan: the plan's
+    /// `seed` and a per-plan `site` constant pick the stream, and the
+    /// `key` (session, platform or epoch) and sequence number `seq` are
+    /// mixed in through the generator itself so nearby pairs
+    /// decorrelate. Every plan in this crate rolls through here, so
+    /// their streams share one algebra and differ only by site.
+    pub(crate) fn keyed(seed: u64, site: u64, key: u64, seq: u64) -> Self {
+        let mut x = XorShift::new(seed ^ site.rotate_left(17));
+        x.state ^= key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
+        x.next_u64();
+        x.state ^= seq.wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(13);
+        x.next_u64();
+        x
     }
 
     pub(crate) fn next_u64(&mut self) -> u64 {
@@ -211,24 +226,13 @@ impl FaultPlan {
         self.scheduled.drain(..split).map(|(_, k)| k).collect()
     }
 
-    fn roll(&self, site: u64, key: u64, seq: u64) -> XorShift {
-        let mut x = XorShift::new(self.seed ^ site.rotate_left(17));
-        // Mix in the session key and sequence number through the
-        // generator itself so nearby (key, seq) pairs decorrelate.
-        x.state ^= key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
-        x.next_u64();
-        x.state ^= seq.wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(13);
-        x.next_u64();
-        x
-    }
-
     /// Rolls for a TPM transport fault at `(key, seq)`. Returns the
     /// fault to inject, if any.
     pub fn roll_tpm_transport(&self, key: u64, seq: u64) -> Option<FaultKind> {
         if self.tpm_rate == 0 {
             return None;
         }
-        let mut x = self.roll(SITE_TPM, key, seq);
+        let mut x = XorShift::keyed(self.seed, SITE_TPM, key, seq);
         if x.next_u32() % RATE_DENOM >= self.tpm_rate {
             return None;
         }
@@ -238,13 +242,16 @@ impl FaultPlan {
 
     /// Rolls for a spurious memory-controller denial at `(key, seq)`.
     pub fn roll_mem_denial(&self, key: u64, seq: u64) -> bool {
-        self.mem_rate != 0 && self.roll(SITE_MEM, key, seq).next_u32() % RATE_DENOM < self.mem_rate
+        self.mem_rate != 0
+            && XorShift::keyed(self.seed, SITE_MEM, key, seq).next_u32() % RATE_DENOM
+                < self.mem_rate
     }
 
     /// Rolls for a spurious preemption-timer expiry at `(key, seq)`.
     pub fn roll_timer_expiry(&self, key: u64, seq: u64) -> bool {
         self.timer_rate != 0
-            && self.roll(SITE_TIMER, key, seq).next_u32() % RATE_DENOM < self.timer_rate
+            && XorShift::keyed(self.seed, SITE_TIMER, key, seq).next_u32() % RATE_DENOM
+                < self.timer_rate
     }
 }
 

@@ -155,22 +155,11 @@ impl NetPlan {
         self.drop_rate == 0 && self.delay_rate == 0 && self.dup_rate == 0 && self.reorder_rate == 0
     }
 
-    fn roll(&self, site: u64, key: u64, seq: u64) -> XorShift {
-        // Same mixing discipline as FaultPlan::roll so the two plans'
-        // streams share an algebra but never collide (distinct sites).
-        let mut x = XorShift::new(self.seed ^ site.rotate_left(17));
-        x.state ^= key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
-        x.next_u64();
-        x.state ^= seq.wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(13);
-        x.next_u64();
-        x
-    }
-
     fn rate_hit(&self, site: u64, key: u64, seq: u64, rate: u32) -> Option<XorShift> {
         if rate == 0 {
             return None;
         }
-        let mut x = self.roll(site, key, seq);
+        let mut x = XorShift::keyed(self.seed, site, key, seq);
         if x.next_u32() % RATE_DENOM < rate {
             Some(x)
         } else {

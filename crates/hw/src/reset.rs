@@ -140,15 +140,7 @@ impl ResetPlan {
         if self.reset_rate == 0 {
             return false;
         }
-        let mut x = XorShift::new(self.seed ^ SITE_RESET.rotate_left(17));
-        // Mix epoch and seq through the generator itself, exactly as
-        // `FaultPlan::roll` mixes key and seq, so nearby pairs
-        // decorrelate.
-        x.state ^= epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
-        x.next_u64();
-        x.state ^= seq.wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(13);
-        x.next_u64();
-        x.next_u32() % RATE_DENOM < self.reset_rate
+        XorShift::keyed(self.seed, SITE_RESET, epoch, seq).next_u32() % RATE_DENOM < self.reset_rate
     }
 }
 

@@ -13,7 +13,10 @@
 //! * [`Scheduler`] — multiprograms PALs and legacy work across CPUs on
 //!   the proposed hardware, and [`LegacyBatch`] — the baseline
 //!   whole-platform-stall execution — together reproducing the paper's
-//!   concurrency argument (§4.2/§4.4 vs §5.7).
+//!   concurrency argument (§4.2/§4.4 vs §5.7). Neither recovers from
+//!   faults: [`sea_core::SessionEngine`] is the one session driver that
+//!   retries, degrades and kills sessions (under
+//!   [`sea_core::BatchPolicy::with_retry`]).
 //! * [`Adversary`] — the threat model's ring-0 attacker (§3.2): reads and
 //!   writes PAL memory, mounts DMA attacks from peripherals, forges
 //!   measurements, and replays launches; every attack returns whether
@@ -47,5 +50,5 @@ pub use adversary::{Adversary, AttackOutcome};
 pub use alloc::PageAllocator;
 pub use dispatch::{DispatchPolicy, Dispatcher};
 pub use error::OsError;
-pub use scheduler::{LegacyBatch, ParallelScheduler, ScheduleOutcome, Scheduler};
+pub use scheduler::{LegacyBatch, ScheduleOutcome, Scheduler};
 pub use workload::{simulate_service, ArrivalTrace, ResponseStats};

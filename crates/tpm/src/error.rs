@@ -48,8 +48,9 @@ pub enum TpmError {
     },
     /// A `TPM_HASH_DATA`/`TPM_HASH_END` arrived with no open hash session.
     NoHashSession,
-    /// `TPM_Seal` was given more PCR indices than a sealed blob can
-    /// record (its encoding counts them in one byte, so at most 255).
+    /// `TPM_Seal` or `TPM_Quote` was given more PCR indices than a
+    /// sealed blob or a quote can record (both encodings count them in
+    /// one byte, so at most 255).
     SelectionTooLong {
         /// The number of indices requested.
         len: usize,
@@ -106,7 +107,7 @@ impl fmt::Display for TpmError {
             TpmError::SelectionTooLong { len } => {
                 write!(
                     f,
-                    "PCR selection of {len} indices exceeds the 255 a blob records"
+                    "PCR selection of {len} indices exceeds the 255 a blob or quote records"
                 )
             }
             TpmError::TransportFault { retryable: true } => {

@@ -67,7 +67,9 @@ impl QuoteSource {
     fn encode(&self) -> Vec<u8> {
         match self {
             QuoteSource::Pcrs { selection, values } => {
-                let mut out = vec![0x00, selection.len() as u8];
+                let n =
+                    u8::try_from(selection.len()).expect("Tpm::quote bounds the selection length");
+                let mut out = vec![0x00, n];
                 for (idx, val) in selection.iter().zip(values) {
                     out.push(idx.0);
                     out.extend_from_slice(val.as_bytes());

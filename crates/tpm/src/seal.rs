@@ -23,8 +23,8 @@ use crate::pcr::PcrIndex;
 /// of even the demo 512-bit SRK (`k − 2·hLen − 2 = 22` bytes).
 const SYM_KEY_LEN: usize = 16;
 
-/// The most PCR indices a sealed blob can record: the selection
-/// encoding counts them in one byte.
+/// The most PCR indices a sealed blob or a quote can record: both
+/// selection encodings count them in one byte.
 pub(crate) const MAX_SELECTION_LEN: usize = u8::MAX as usize;
 
 /// What a sealed blob is bound to.

@@ -5,7 +5,7 @@
 //! and the per-vendor timing model. Every command returns a [`Timed`]
 //! value so callers account its cost on the virtual clock.
 
-use sea_crypto::{Drbg, RsaPrivateKey, RsaPublicKey, Sha1, Sha1Digest, Signature};
+use sea_crypto::{Drbg, RsaPrivateKey, RsaPublicKey, Sha1, Sha1Digest};
 use sea_hw::{CpuId, Layer, Obs, SimDuration, TpmKind};
 
 use crate::error::TpmError;
@@ -104,11 +104,6 @@ pub struct Tpm {
     armed_fault: Option<bool>,
     nvram: Nvram,
     obs: Obs,
-    /// Quote signatures pre-computed by [`Tpm::prepare_sepcr_quotes`],
-    /// keyed by quote digest. Consumed by [`Tpm::sepcr_quote`] on a
-    /// digest match; semantically invisible (the batch signer is
-    /// byte-identical to the one-at-a-time signer).
-    prepared_sigs: Vec<(Sha1Digest, Signature)>,
 }
 
 impl Tpm {
@@ -143,7 +138,6 @@ impl Tpm {
             armed_fault: None,
             nvram: Nvram::new(seed),
             obs: Obs::null(),
-            prepared_sigs: Vec::new(),
         }
     }
 
@@ -182,7 +176,6 @@ impl Tpm {
             armed_fault: None,
             nvram: Nvram::new(seed),
             obs: Obs::null(),
-            prepared_sigs: Vec::new(),
         }
     }
 
@@ -290,7 +283,6 @@ impl Tpm {
         self.hash_session = None;
         self.lock = TpmLock::new();
         self.armed_fault = None;
-        self.prepared_sigs.clear();
     }
 
     /// Read-only view of the non-volatile storage.
@@ -435,12 +427,20 @@ impl Tpm {
     ///
     /// # Errors
     ///
-    /// [`TpmError::PcrOutOfRange`] for a bad selection.
+    /// [`TpmError::SelectionTooLong`] for more than 255 indices, which
+    /// the quote encoding cannot record (refused before any other work,
+    /// the transport included); [`TpmError::PcrOutOfRange`] for a bad
+    /// selection.
     pub fn quote(
         &mut self,
         nonce: &[u8],
         selection: &[PcrIndex],
     ) -> Result<Timed<WireQuote>, TpmError> {
+        if selection.len() > MAX_SELECTION_LEN {
+            return Err(TpmError::SelectionTooLong {
+                len: selection.len(),
+            });
+        }
         self.transport_gate()?;
         let values: Result<Vec<PcrValue>, TpmError> =
             selection.iter().map(|&i| self.pcrs.read(i)).collect();
@@ -448,12 +448,7 @@ impl Tpm {
             selection: selection.to_vec(),
             values: values?,
         };
-        let digest = quote_digest(&source, nonce);
-        let sig = self
-            .aik
-            .sign_pkcs1v15_batch(&[digest])?
-            .pop()
-            .expect("a batch of one digest yields one signature");
+        let sig = self.aik.sign_pkcs1v15(&quote_digest(&source, nonce))?;
         let cost = self.cost(TpmOp::Quote);
         Ok(Timed::new(
             Quote::new(source, nonce.to_vec(), sig).to_wire(),
@@ -650,61 +645,12 @@ impl Tpm {
         self.transport_gate()?;
         let value = self.sepcrs.read_for_quote(handle)?;
         let source = QuoteSource::SePcr { value };
-        let digest = quote_digest(&source, nonce);
-        // Consume a signature pre-computed by `prepare_sepcr_quotes`,
-        // or fall back to a batch of one. Either way the bytes are what
-        // `sign_pkcs1v15` would produce, so which path ran is invisible
-        // to verifiers and to the golden differential suite.
-        let sig = match self.prepared_sigs.iter().position(|(d, _)| *d == digest) {
-            Some(at) => self.prepared_sigs.swap_remove(at).1,
-            None => self
-                .aik
-                .sign_pkcs1v15_batch(&[digest])?
-                .pop()
-                .expect("a batch of one digest yields one signature"),
-        };
+        let sig = self.aik.sign_pkcs1v15(&quote_digest(&source, nonce))?;
         let cost = self.cost(TpmOp::Quote);
         Ok(Timed::new(
             Quote::new(source, nonce.to_vec(), sig).to_wire(),
             cost,
         ))
-    }
-
-    /// Pre-signs the quote digests for a cohort of sePCRs about to be
-    /// quoted together, sharing one CRT/Montgomery context across the
-    /// whole batch ([`RsaPrivateKey::sign_pkcs1v15_batch`]).
-    ///
-    /// Best-effort and semantically invisible: handles not in the Quote
-    /// state are skipped, signing failures leave the cache untouched,
-    /// no virtual time is charged and no observability is emitted —
-    /// [`Tpm::sepcr_quote`] charges the full per-quote cost whether or
-    /// not it finds its signature prepared, because the batch form is
-    /// byte-identical to the one-at-a-time signer. Cached signatures
-    /// for digests no longer requested are dropped; a reboot clears
-    /// the cache entirely.
-    pub fn prepare_sepcr_quotes(&mut self, requests: &[(SePcrHandle, [u8; 8])]) {
-        let mut digests: Vec<Sha1Digest> = Vec::new();
-        for (handle, nonce) in requests {
-            let Ok(value) = self.sepcrs.read_for_quote(*handle) else {
-                continue;
-            };
-            let source = QuoteSource::SePcr { value };
-            let digest = quote_digest(&source, nonce);
-            if !digests.contains(&digest) {
-                digests.push(digest);
-            }
-        }
-        self.prepared_sigs.retain(|(d, _)| digests.contains(d));
-        let missing: Vec<Sha1Digest> = digests
-            .into_iter()
-            .filter(|d| !self.prepared_sigs.iter().any(|(c, _)| c == d))
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        if let Ok(sigs) = self.aik.sign_pkcs1v15_batch(&missing) {
-            self.prepared_sigs.extend(missing.into_iter().zip(sigs));
-        }
     }
 
     /// `TPM_SEPCR_Free`: recycles a quoted sePCR (§5.4.3).
@@ -1017,6 +963,33 @@ mod tests {
         let back = SealedBlob::from_bytes(&sealed.to_bytes()).unwrap();
         assert_eq!(back, sealed);
         assert_eq!(t.unseal(&back).unwrap().value, b"state");
+    }
+
+    #[test]
+    fn quote_refuses_selections_its_wire_cannot_record() {
+        // The quote encoding counts its indices in one byte too: an
+        // unbounded 256-entry quote would be signed, then rejected by
+        // `Quote::from_wire` on the verifier's side.
+        let mut t = tpm();
+        let too_long: Vec<PcrIndex> = (0..256).map(|i| PcrIndex(i as u8 % 24)).collect();
+        // Refused before the transport: an armed fault stays pending.
+        t.arm_transport_fault(true);
+        assert_eq!(
+            t.quote(b"nonce", &too_long).unwrap_err(),
+            TpmError::SelectionTooLong { len: 256 }
+        );
+        assert_eq!(
+            t.pcr_read(PcrIndex(17)).unwrap_err(),
+            TpmError::TransportFault { retryable: true }
+        );
+        let longest = &too_long[..MAX_SELECTION_LEN];
+        let wire = t.quote(b"nonce", longest).unwrap().value;
+        let parsed = Quote::from_wire(&wire).unwrap();
+        assert!(parsed.verify_signature(t.aik_public()));
+        match parsed.source() {
+            QuoteSource::Pcrs { selection, .. } => assert_eq!(selection, longest),
+            other => panic!("expected a PCR quote, got {other:?}"),
+        }
     }
 
     #[test]

@@ -27,9 +27,6 @@ cargo test -q --workspace --offline
 echo "== cargo test under the discrete-event executor (offline) =="
 SEA_EXECUTOR=des cargo test -q --workspace --offline
 
-echo "== quickstart example (offline) =="
-cargo run -q --release --offline -p minimal-tcb --example quickstart
-
 echo "== unified-engine guardrails =="
 # sea-core's public API must stay fully documented (the crate-level
 # lint is load-bearing: rustdoc warnings above only catch broken links).
@@ -95,9 +92,10 @@ if [ -n "$costs" ]; then
   exit 1
 fi
 
-echo "== engine examples (offline) =="
-cargo run -q --release --offline -p minimal-tcb --example multi_pal_server > /dev/null
-cargo run -q --release --offline -p minimal-tcb --example full_system > /dev/null
+echo "== examples: every one runs to a clean exit (offline) =="
+for example in examples/*.rs; do
+  cargo run -q --release --offline -p minimal-tcb --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "== chaos suite (fixed fault seed, offline) =="
 SEA_CHAOS_SEED=20080317 cargo test -q -p minimal-tcb --offline --test fault_recovery

@@ -351,24 +351,6 @@ fn crt_signing_matches_plain_exponent_path() {
 }
 
 #[test]
-fn batch_signing_matches_per_digest_signatures() {
-    check(
-        "batch_signing_matches_per_digest_signatures",
-        RSA_CASES,
-        |t| {
-            let key = test_key();
-            let digests: Vec<[u8; 20]> = t.vec(1, 6, |t| Sha1::digest(&t.bytes(0, 48)));
-            let batch = key.sign_pkcs1v15_batch(&digests).unwrap();
-            prop_assert_eq!(batch.len(), digests.len());
-            for (digest, sig) in digests.iter().zip(&batch) {
-                prop_assert_eq!(&key.sign_pkcs1v15(digest).unwrap().0, &sig.0);
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn tampered_crt_factors_are_rejected_on_attach() {
     check(
         "tampered_crt_factors_are_rejected_on_attach",
@@ -395,13 +377,11 @@ fn faulted_crt_exponent_withholds_signatures() {
             let msg = t.bytes(0, 64);
             let digest = Sha1::digest(&msg);
             // A corrupted half-exponentiation would leak a factor of n if
-            // released (the Bellcore attack); both signing paths must
-            // withhold the signature instead.
+            // released (the Bellcore attack); signing must withhold the
+            // signature instead.
             let key = test_key().with_faulted_crt();
-            let single = key.sign_pkcs1v15(&digest).unwrap_err();
-            prop_assert!(matches!(single, CryptoError::CrtFault));
-            let batch = key.sign_pkcs1v15_batch(&[digest]).unwrap_err();
-            prop_assert!(matches!(batch, CryptoError::CrtFault));
+            let err = key.sign_pkcs1v15(&digest).unwrap_err();
+            prop_assert!(matches!(err, CryptoError::CrtFault));
             Ok(())
         },
     );

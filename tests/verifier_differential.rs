@@ -289,6 +289,13 @@ fn adversarial_degraded_and_killed_sessions_reject_typed() {
             .any(|s| matches!(s, SessionResult::Degraded { .. })),
         "no session degraded: {degraded:?}"
     );
+    // The slow path is a monolithic late launch of the degraded PAL's
+    // own, and its report says so.
+    for s in &degraded {
+        if let SessionResult::Degraded { report, .. } = s {
+            assert!(report.late_launch > SimDuration::ZERO, "{report:?}");
+        }
+    }
     let r = v.reject_missing(0, MissingKind::Degraded);
     assert_eq!(
         r.result.unwrap_err(),
