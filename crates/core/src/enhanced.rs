@@ -88,6 +88,10 @@ const FIRST_PAL_PAGE: u32 = 64;
 /// and input.
 const STATE_HEADROOM: usize = 2 * PAGE_SIZE;
 
+/// Most spurious preemption-timer expiries a fault plan may inflict on
+/// one session, so that every session makes progress.
+const SPURIOUS_TIMER_BUDGET: u32 = 4;
+
 /// Per-session fault-injection bookkeeping: a monotone roll counter and
 /// how many spurious timer expiries the session has already absorbed.
 #[derive(Debug, Default, Clone, Copy)]
@@ -745,14 +749,14 @@ impl EnhancedSea {
     }
 
     /// Rolls the next spurious preemption-timer expiry for `key`,
-    /// honoring the plan's per-session timer budget so a session cannot
-    /// be preempted forever.
+    /// honoring [`SPURIOUS_TIMER_BUDGET`] so a session cannot be
+    /// preempted forever.
     fn roll_timer(&mut self, key: u64) -> bool {
         let Some(plan) = self.fault_plan.as_ref() else {
             return false;
         };
         let cursor = self.fault_cursors.entry(key).or_default();
-        if cursor.timer_count >= plan.timer_budget() {
+        if cursor.timer_count >= SPURIOUS_TIMER_BUDGET {
             return false;
         }
         let seq = cursor.seq;

@@ -1,15 +1,14 @@
 //! A minimal measured bytecode VM for PALs.
 //!
 //! The paper's central promise is that an attestation names *the code
-//! that actually ran*. The cost-model PALs in `sea-pals` kept the
-//! measured image a name-derived byte string and charged their runtime
-//! as a constant — fine for the timing reproduction, but the identity
-//! story was a stand-in. This module closes that gap: a PAL is a
-//! register-based bytecode *program*, [`PalLogic::image`] is the
-//! canonical serialized form of that program, and the sePCR chain (and
-//! thus every quote) commits to the hash of the bytes the interpreter
-//! executes. Flip one bit of the program and the measured identity
-//! moves.
+//! that actually ran*. A closure PAL ([`crate::FnPal`]) measures a
+//! name-derived byte string and charges its runtime as a modelled
+//! constant — fine for timing experiments, but its identity is a
+//! stand-in. This module closes that gap: a PAL is a register-based
+//! bytecode *program*, [`PalLogic::image`] is the canonical serialized
+//! form of that program, and the sePCR chain (and thus every quote)
+//! commits to the hash of the bytes the interpreter executes. Flip one
+//! bit of the program and the measured identity moves.
 //!
 //! # The ISA
 //!
@@ -71,7 +70,7 @@
 //! crash-point sweeps see VM execution exactly as they saw modelled
 //! work.
 
-use sea_crypto::{BigUint, Drbg, RsaPrivateKey, Sha1};
+use sea_crypto::{Drbg, RsaPrivateKey, Sha1};
 use sea_hw::SimDuration;
 use sea_tpm::SealedBlob;
 
@@ -86,8 +85,7 @@ pub const MEM_SIZE: usize = 65_536;
 pub const NUM_REGS: usize = 16;
 
 /// Sealed-blob slots a program may address with `SEAL`/`UNSEAL`. The
-/// untrusted host custodies the blobs between sessions (exactly as the
-/// cost-model PALs held an `Option<SealedBlob>` field); the slot
+/// untrusted host custodies the blobs between sessions; the slot
 /// occupancy bitmask is visible to the program in `r4` at entry.
 pub const NUM_SLOTS: usize = 8;
 
@@ -185,7 +183,8 @@ pub mod op {
     /// `mem[rb]`, private key serialized length-prefixed at `mem[ra]`.
     pub const RSAGEN: u8 = 0x31;
     /// Encode the public half of the length-prefixed private key at
-    /// `mem[rb]` (length-prefixed result at `mem[ra]`).
+    /// `mem[rb]` as `RsaPublicKey::to_bytes` does (length-prefixed
+    /// result at `mem[ra]`).
     pub const RSAPUB: u8 = 0x32;
     /// PKCS#1 v1.5 signature: private key length-prefixed at `mem[rb]`,
     /// 20-byte digest at `mem[rc]`, signature length-prefixed at
@@ -297,10 +296,10 @@ impl Program {
         if bytes.len() != total {
             return Err(bad("truncated or trailing bytes"));
         }
-        let insns = bytes[12..code_end]
-            .chunks_exact(Insn::SIZE)
-            .map(|c| Insn::decode(c.try_into().expect("exact chunk")))
-            .collect();
+        // `code_end - 12` is a whole number of instructions, so the
+        // remainder is empty.
+        let (code, _) = bytes[12..code_end].as_chunks::<{ Insn::SIZE }>();
+        let insns = code.iter().map(Insn::decode).collect();
         Ok(Program {
             insns,
             data: bytes[code_end..].to_vec(),
@@ -419,25 +418,16 @@ impl VmPal {
     pub fn slot(&self, slot: usize) -> Option<&SealedBlob> {
         self.slots.get(slot).and_then(Option::as_ref)
     }
-
-    /// Installs (or clears) the sealed blob custodied in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= `[`NUM_SLOTS`].
-    pub fn set_slot(&mut self, slot: usize, blob: Option<SealedBlob>) {
-        self.slots[slot] = blob;
-    }
-
-    /// Removes and returns the sealed blob custodied in `slot`.
-    pub fn take_slot(&mut self, slot: usize) -> Option<SealedBlob> {
-        self.slots.get_mut(slot).and_then(Option::take)
-    }
 }
 
 #[cold]
 fn trap(pc: u32, msg: &str) -> SeaError {
     SeaError::PalFailed(format!("vm trap: {msg} at pc {pc}"))
+}
+
+#[cold]
+fn load_trap(pc: u32, addr: u64, n: usize) -> SeaError {
+    trap(pc, &format!("load of {n} bytes at {addr} out of bounds"))
 }
 
 /// Rounds `n` up to the next multiple of 8 (buffer alignment in scratch
@@ -505,10 +495,11 @@ fn gas_of(insns: &[Insn]) -> u64 {
     insns.iter().map(|i| base_gas(i.op)).sum()
 }
 
-/// Gas charged for RSA key generation (mirrors the cost-model PALs'
-/// 150 ms keygen figure).
+/// Gas charged for RSA key generation: the CA application's modelled
+/// 150 ms in-PAL keygen, flat because the host's keygen time varies from
+/// key to key and virtual time must not.
 const RSAGEN_GAS: u64 = 150_000_000;
-/// Gas charged for a PKCS#1 v1.5 signature (mirrors the 5 ms figure).
+/// Gas charged for a PKCS#1 v1.5 signature: the modelled 5 ms.
 const RSASIGN_GAS: u64 = 5_000_000;
 /// Gas charged to derive and encode a public key.
 const RSAPUB_GAS: u64 = 1_000;
@@ -533,12 +524,19 @@ impl Machine<'_> {
     fn load(&self, pc: u32, addr: u64, n: usize) -> Result<&[u8], SeaError> {
         let a = usize::try_from(addr).unwrap_or(usize::MAX);
         if a.checked_add(n).is_none_or(|end| end > self.mem.len()) {
-            return Err(trap(
-                pc,
-                &format!("load of {n} bytes at {addr} out of bounds"),
-            ));
+            return Err(load_trap(pc, addr, n));
         }
         Ok(&self.mem[a..a + n])
+    }
+
+    /// Loads the `N` bytes at `addr` as an array, trapping exactly as
+    /// [`Machine::load`] does when they are not all in memory.
+    fn load_array<const N: usize>(&self, pc: u32, addr: u64) -> Result<[u8; N], SeaError> {
+        let a = usize::try_from(addr).unwrap_or(usize::MAX);
+        match self.mem.get(a..).and_then(<[u8]>::first_chunk::<N>) {
+            Some(bytes) => Ok(*bytes),
+            None => Err(load_trap(pc, addr, N)),
+        }
     }
 
     fn store(&mut self, pc: u32, addr: u64, bytes: &[u8]) -> Result<(), SeaError> {
@@ -557,8 +555,7 @@ impl Machine<'_> {
     /// Reads the length-prefixed buffer at `addr` (u64 LE length, then
     /// payload), copying the payload out so destinations may overlap.
     fn load_buf(&self, pc: u32, addr: u64, what: &str) -> Result<Vec<u8>, SeaError> {
-        let len_bytes = self.load(pc, addr, 8)?;
-        let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
+        let len = u64::from_le_bytes(self.load_array(pc, addr)?);
         if len > MEM_SIZE as u64 {
             return Err(trap(
                 pc,
@@ -829,8 +826,7 @@ fn step(
         }
         op::LD64 => {
             let addr = m.regs[rb].wrapping_add(u64::from(i.imm));
-            let bytes = m.load(pc, addr, 8)?;
-            m.regs[ra] = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+            m.regs[ra] = u64::from_le_bytes(m.load_array(pc, addr)?);
         }
         op::ST8 => {
             let addr = m.regs[ra].wrapping_add(u64::from(i.imm));
@@ -888,7 +884,7 @@ fn hypercall(
             m.store_buf(pc, m.regs[ra], &payload)?;
         }
         op::MEASURE => {
-            let digest: [u8; 20] = m.load(pc, m.regs[ra], 20)?.try_into().expect("20 bytes");
+            let digest: [u8; 20] = m.load_array(pc, m.regs[ra])?;
             ctx.measure_input(&digest)?;
             *gas += HYPERCALL_GAS + 20;
         }
@@ -911,18 +907,11 @@ fn hypercall(
         op::RSAPUB => {
             let key = m.load_rsa_key(pc, m.regs[rb])?;
             *gas += RSAPUB_GAS;
-            let n = key.public_key().modulus().to_bytes_be();
-            let e = BigUint::from_u64(65_537).to_bytes_be();
-            let mut enc = Vec::with_capacity(8 + n.len() + e.len());
-            enc.extend_from_slice(&(n.len() as u32).to_be_bytes());
-            enc.extend_from_slice(&n);
-            enc.extend_from_slice(&(e.len() as u32).to_be_bytes());
-            enc.extend_from_slice(&e);
-            m.store_buf(pc, m.regs[ra], &enc)?;
+            m.store_buf(pc, m.regs[ra], &key.public_key().to_bytes())?;
         }
         op::RSASIGN => {
             let key = m.load_rsa_key(pc, m.regs[rb])?;
-            let digest: [u8; 20] = m.load(pc, m.regs[rc], 20)?.try_into().expect("20 bytes");
+            let digest: [u8; 20] = m.load_array(pc, m.regs[rc])?;
             *gas += RSASIGN_GAS;
             let sig = key
                 .sign_pkcs1v15(&digest)

@@ -177,11 +177,6 @@ impl BigUint {
         }
     }
 
-    /// Interprets the low 64 bits as a `u64` (truncating).
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();

@@ -38,6 +38,10 @@ const SHA1_DIGEST_INFO_PREFIX: [u8; 15] = [
     0x30, 0x21, 0x30, 0x09, 0x06, 0x05, 0x2b, 0x0e, 0x03, 0x02, 0x1a, 0x05, 0x00, 0x04, 0x14,
 ];
 
+/// Smallest modulus, in bytes, that holds an EMSA-PKCS1-v1_5 encoding of
+/// a SHA-1 digest: the `DigestInfo` plus at least 11 bytes of padding.
+const MIN_PKCS1_V15_LEN: usize = SHA1_DIGEST_INFO_PREFIX.len() + SHA1_DIGEST_LEN + 11;
+
 /// An RSA signature (big-endian, exactly the modulus length).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature(pub Vec<u8>);
@@ -193,9 +197,11 @@ impl RsaPublicKey {
     /// Verifies a PKCS#1-v1.5-style SHA-1 signature over `digest`.
     ///
     /// `digest` must be the 20-byte SHA-1 digest of the signed message.
+    /// A key too small to hold the encoded digest verifies nothing, just
+    /// as [`RsaPrivateKey::sign_pkcs1v15`] refuses to sign with one.
     pub fn verify_pkcs1v15(&self, digest: &[u8; SHA1_DIGEST_LEN], sig: &Signature) -> bool {
         let k = self.modulus_len();
-        if sig.0.len() != k {
+        if k < MIN_PKCS1_V15_LEN || sig.0.len() != k {
             return false;
         }
         let s = BigUint::from_bytes_be(&sig.0);
@@ -455,7 +461,7 @@ impl RsaPrivateKey {
     /// to hold the encoded digest.
     pub fn sign_pkcs1v15(&self, digest: &[u8; SHA1_DIGEST_LEN]) -> Result<Signature, CryptoError> {
         let k = self.public.modulus_len();
-        if k < SHA1_DIGEST_INFO_PREFIX.len() + SHA1_DIGEST_LEN + 11 {
+        if k < MIN_PKCS1_V15_LEN {
             return Err(CryptoError::InvalidKeySize {
                 bits: self.public.modulus_bits(),
             });
@@ -524,7 +530,7 @@ impl RsaPrivateKey {
 /// EMSA-PKCS1-v1_5 encoding of a SHA-1 digest into `k` bytes.
 fn emsa_pkcs1_v15_encode(digest: &[u8; SHA1_DIGEST_LEN], k: usize) -> Vec<u8> {
     let t_len = SHA1_DIGEST_INFO_PREFIX.len() + SHA1_DIGEST_LEN;
-    debug_assert!(k >= t_len + 11);
+    debug_assert!(k >= MIN_PKCS1_V15_LEN);
     let mut em = Vec::with_capacity(k);
     em.push(0x00);
     em.push(0x01);

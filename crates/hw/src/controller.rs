@@ -109,11 +109,6 @@ impl MemoryController {
         self.table[page.0 as usize]
     }
 
-    /// Whether the DEV blocks DMA to `page`.
-    pub fn dev_blocked(&self, page: PageIndex) -> bool {
-        self.dev[page.0 as usize]
-    }
-
     /// Checks whether `requester` may perform `kind` on `page`.
     ///
     /// Reads and writes are treated identically, as in the paper ("nothing

@@ -127,7 +127,6 @@ pub struct FaultPlan {
     mem_rate: u32,
     timer_rate: u32,
     fatal_ratio: u32,
-    timer_budget: u32,
     scheduled: Vec<(SimTime, FaultKind)>,
 }
 
@@ -141,7 +140,6 @@ impl FaultPlan {
             mem_rate: 0,
             timer_rate: 0,
             fatal_ratio: 0,
-            timer_budget: 4,
             scheduled: Vec::new(),
         }
     }
@@ -168,7 +166,9 @@ impl FaultPlan {
     }
 
     /// Sets the spurious preemption-timer-expiry rate (parts per
-    /// [`RATE_DENOM`], clamped).
+    /// [`RATE_DENOM`], clamped). The engine stops rolling for a session
+    /// once it has suffered four spurious expiries, so every session
+    /// makes progress.
     #[must_use]
     pub fn with_timer_rate(mut self, rate: u32) -> Self {
         self.timer_rate = rate.min(RATE_DENOM);
@@ -184,22 +184,9 @@ impl FaultPlan {
         self
     }
 
-    /// Caps how many spurious timer expiries any single session can
-    /// suffer, guaranteeing progress (default 4).
-    #[must_use]
-    pub fn with_timer_budget(mut self, budget: u32) -> Self {
-        self.timer_budget = budget;
-        self
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Max spurious timer expiries per session.
-    pub fn timer_budget(&self) -> u32 {
-        self.timer_budget
     }
 
     /// True if this plan can never inject anything.

@@ -177,11 +177,6 @@ impl Machine {
         &self.volatile.cpus
     }
 
-    /// Mutable access to all CPUs.
-    pub fn cpus_mut(&mut self) -> &mut [Cpu] {
-        &mut self.volatile.cpus
-    }
-
     /// The memory controller (north bridge).
     pub fn controller(&self) -> &MemoryController {
         &self.volatile.controller

@@ -11,13 +11,9 @@
 //! with an Unseal; "this example would not require a subsequent seal,
 //! since the unsealed key could simply be erased", §4.1).
 //!
-//! Two implementations share this protocol: the executed-bytecode PAL
-//! ([`crate::vm::vm_ca`]) and, behind the `cost-model` feature, the
-//! original constant-cost twin ([`crate::CertAuthority`]).
+//! The executed-bytecode PAL [`crate::vm::vm_ca`] speaks this protocol.
 
-#[cfg(any(test, feature = "cost-model"))]
-use sea_core::SeaError;
-use sea_crypto::{BigUint, RsaPublicKey, Sha1, Signature};
+use sea_crypto::{RsaPublicKey, Sha1, Signature};
 
 /// A request to the CA PAL, encoded into the session input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,38 +37,13 @@ impl CaRequest {
             }
         }
     }
-
-    #[cfg(any(test, feature = "cost-model"))]
-    pub(crate) fn parse(input: &[u8]) -> Result<CaRequest, SeaError> {
-        match input.split_first() {
-            Some((0x00, [])) => Ok(CaRequest::Generate),
-            Some((0x01, csr)) => Ok(CaRequest::Sign(csr.to_vec())),
-            _ => Err(SeaError::PalFailed("malformed CA request".into())),
-        }
-    }
 }
 
-/// Encodes an RSA public key as length-prefixed `n`, `e`.
-#[cfg(any(test, feature = "cost-model"))]
-pub(crate) fn encode_public_key(key: &RsaPublicKey) -> Vec<u8> {
-    let n = key.modulus().to_bytes_be();
-    // The public exponent is always 65537 in this implementation.
-    let e = BigUint::from_u64(65_537).to_bytes_be();
-    let mut out = (n.len() as u32).to_be_bytes().to_vec();
-    out.extend_from_slice(&n);
-    out.extend_from_slice(&(e.len() as u32).to_be_bytes());
-    out.extend_from_slice(&e);
-    out
-}
-
-/// Decodes a public key produced by a `Generate` session.
+/// Decodes a public key produced by a `Generate` session: the
+/// [`RsaPublicKey::to_bytes`] encoding, so `None` for truncated fields,
+/// trailing bytes, or a zero modulus or exponent.
 pub fn decode_public_key(bytes: &[u8]) -> Option<RsaPublicKey> {
-    let n_len = u32::from_be_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-    let n = BigUint::from_bytes_be(bytes.get(4..4 + n_len)?);
-    let rest = bytes.get(4 + n_len..)?;
-    let e_len = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-    let e = BigUint::from_bytes_be(rest.get(4..4 + e_len)?);
-    Some(RsaPublicKey::new(n, e))
+    RsaPublicKey::from_bytes(bytes).ok()
 }
 
 /// RSA modulus size for CA keys. 512 bits keeps simulated sessions fast;
@@ -91,21 +62,21 @@ mod tests {
     use sea_crypto::{Drbg, RsaPrivateKey};
 
     #[test]
-    fn request_encoding_roundtrip() {
-        assert_eq!(
-            CaRequest::parse(&CaRequest::Generate.to_bytes()).unwrap(),
-            CaRequest::Generate
-        );
-        let sign = CaRequest::Sign(b"hello".to_vec());
-        assert_eq!(CaRequest::parse(&sign.to_bytes()).unwrap(), sign);
-    }
-
-    #[test]
     fn public_key_encoding_roundtrip() {
         let key = RsaPrivateKey::generate(512, &mut Drbg::new(b"pk")).unwrap();
-        let enc = encode_public_key(key.public_key());
-        let dec = decode_public_key(&enc).unwrap();
-        assert_eq!(&dec, key.public_key());
+        let enc = key.public_key().to_bytes();
+        assert_eq!(&decode_public_key(&enc).unwrap(), key.public_key());
         assert!(decode_public_key(b"junk").is_none());
+
+        // Only the canonical encoding decodes: no trailing byte, and no
+        // zero-valued (or empty) modulus or exponent field.
+        let mut trailing = enc.clone();
+        trailing.push(0);
+        assert!(decode_public_key(&trailing).is_none(), "trailing byte");
+        let (n_field, e_field) = enc.split_at(4 + key.public_key().modulus_len());
+        for zero in [&[0, 0, 0, 1, 0][..], &[0, 0, 0, 0][..]] {
+            assert!(decode_public_key(&[zero, e_field].concat()).is_none());
+            assert!(decode_public_key(&[n_field, zero].concat()).is_none());
+        }
     }
 }

@@ -16,12 +16,8 @@
 //!   protected pages across `SYIELD`/resume — the TPM is not involved
 //!   after launch.
 //!
-//! Two implementations share this protocol: the executed-bytecode PAL
-//! ([`crate::vm::vm_factoring`]) and, behind the `cost-model` feature,
-//! the original constant-cost twin ([`crate::FactoringPal`]).
-
-#[cfg(any(test, feature = "cost-model"))]
-use sea_core::SeaError;
+//! The executed-bytecode PAL [`crate::vm::vm_factoring`] speaks this
+//! protocol.
 
 /// Where the PAL persists progress between execution quanta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,19 +26,6 @@ pub enum PersistMode {
     TpmSeal,
     /// Proposed hardware: protected in-region state across suspends.
     InRegion,
-}
-
-#[cfg(any(test, feature = "cost-model"))]
-pub(crate) fn encode_progress(candidate: u64) -> Vec<u8> {
-    candidate.to_le_bytes().to_vec()
-}
-
-#[cfg(any(test, feature = "cost-model"))]
-pub(crate) fn decode_progress(bytes: &[u8]) -> Result<u64, SeaError> {
-    let arr: [u8; 8] = bytes
-        .try_into()
-        .map_err(|_| SeaError::PalFailed("corrupt factoring progress".into()))?;
-    Ok(u64::from_le_bytes(arr))
 }
 
 /// Decodes a completed run's output back into the factor pair.
@@ -64,11 +47,5 @@ mod tests {
         assert_eq!(decode_factors(&[]), None);
         assert_eq!(decode_factors(&[0; 15]), None);
         assert!(decode_factors(&[0; 16]).is_some());
-    }
-
-    #[test]
-    fn progress_roundtrip() {
-        assert_eq!(decode_progress(&encode_progress(12345)).unwrap(), 12345);
-        assert!(decode_progress(&[0; 7]).is_err());
     }
 }

@@ -9,23 +9,18 @@
 //! > the confidentiality of a certificate authority's private signing
 //! > key, and to secure an SSH server's password handling routines."
 //!
-//! Each application exists in two forms that share one wire protocol:
-//!
-//! * **Executed bytecode** ([`vm`]) — the real thing: programs for the
-//!   measured PAL VM ([`sea_core::VmPal`]), whose attested identity is
-//!   the hash of the serialized bytecode the interpreter executes.
-//!   [`vm::vm_rootkit`] hashes a kernel-text snapshot against a
-//!   whitelist baked into its data segment, [`vm::vm_factoring`] is the
-//!   resumable trial-division worker (the paper's SETI@Home analogy),
-//!   [`vm::vm_ca`] generates and wields an RSA signing key entirely
-//!   inside the TCB, and [`vm::vm_ssh`] checks login attempts against a
-//!   sealed salted digest.
-//! * **Cost-model twins** (feature `cost-model`, on by default) — the
-//!   original closure PALs whose runtime is a constant `ctx.work`
-//!   charge: [`RootkitDetector`], [`FactoringPal`], [`CertAuthority`],
-//!   [`SshPassword`]. They remain the timing reference and the
-//!   behavioural oracle the differential suite pins the VM programs
-//!   against.
+//! Each application is a program for the measured PAL VM
+//! ([`sea_core::VmPal`]), built by the constructors in [`vm`]; its
+//! attested identity is the hash of the serialized bytecode the
+//! interpreter executes. [`vm::vm_rootkit`] hashes a kernel-text snapshot
+//! against a whitelist baked into its data segment, [`vm::vm_factoring`]
+//! is the resumable trial-division worker (the paper's SETI@Home
+//! analogy), [`vm::vm_ca`] generates and wields an RSA signing key
+//! entirely inside the TCB, and [`vm::vm_ssh`] checks login attempts
+//! against a sealed salted digest. The crate root holds each
+//! application's wire protocol: the request encodings the untrusted
+//! caller sends ([`CaRequest`], [`SshRequest`]) and the decoders for the
+//! outputs ([`decode_public_key`], [`decode_factors`], [`RootkitVerdict`]).
 //!
 //! Every PAL works under both [`sea_core::LegacySea`] and
 //! [`sea_core::EnhancedSea`]; the performance difference between those
@@ -35,16 +30,12 @@
 #![warn(missing_docs)]
 
 mod ca;
-#[cfg(feature = "cost-model")]
-mod cost_model;
 mod factoring;
 mod rootkit;
 mod ssh;
 pub mod vm;
 
 pub use ca::{decode_public_key, verify_ca_signature, CaRequest};
-#[cfg(feature = "cost-model")]
-pub use cost_model::{CertAuthority, FactoringPal, RootkitDetector, SshPassword};
 pub use factoring::{decode_factors, PersistMode};
 pub use rootkit::RootkitVerdict;
 pub use ssh::SshRequest;

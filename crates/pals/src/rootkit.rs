@@ -8,9 +8,8 @@
 //! measurement chain, a remote verifier can trust a "clean" answer even
 //! when the kernel itself is compromised.
 //!
-//! Two implementations share this protocol: the executed-bytecode PAL
-//! ([`crate::vm::vm_rootkit`]) and, behind the `cost-model` feature,
-//! the original constant-cost twin ([`crate::RootkitDetector`]).
+//! The executed-bytecode PAL [`crate::vm::vm_rootkit`] speaks this
+//! protocol.
 
 /// Outcome of a scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,14 +6,7 @@
 //! a compromised sshd or kernel never sees the stored verifier or a
 //! timing-usable comparison.
 //!
-//! Two implementations share this protocol: the executed-bytecode PAL
-//! ([`crate::vm::vm_ssh`]) and, behind the `cost-model` feature, the
-//! original constant-cost twin ([`crate::SshPassword`]).
-
-#[cfg(any(test, feature = "cost-model"))]
-use sea_core::SeaError;
-#[cfg(feature = "cost-model")]
-use sea_crypto::Sha1;
+//! The executed-bytecode PAL [`crate::vm::vm_ssh`] speaks this protocol.
 
 /// A request to the SSH-password PAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,45 +31,6 @@ impl SshRequest {
                 v.extend_from_slice(pw);
                 v
             }
-        }
-    }
-
-    #[cfg(any(test, feature = "cost-model"))]
-    pub(crate) fn parse(input: &[u8]) -> Result<SshRequest, SeaError> {
-        match input.split_first() {
-            Some((0x00, pw)) => Ok(SshRequest::Enroll(pw.to_vec())),
-            Some((0x01, pw)) => Ok(SshRequest::Verify(pw.to_vec())),
-            _ => Err(SeaError::PalFailed("malformed SSH request".into())),
-        }
-    }
-}
-
-/// Salt length of the enrolled password record (`salt ‖ digest`).
-#[cfg(feature = "cost-model")]
-pub(crate) const SALT_LEN: usize = 16;
-
-/// The salted verifier digest both implementations compute:
-/// `SHA-1(salt ‖ password)`.
-#[cfg(feature = "cost-model")]
-pub(crate) fn salted_digest(salt: &[u8], password: &[u8]) -> [u8; 20] {
-    let mut h = Sha1::new();
-    h.update_bytes(salt);
-    h.update_bytes(password);
-    h.finalize_fixed()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_encoding_roundtrip() {
-        for req in [
-            SshRequest::Enroll(b"pw".to_vec()),
-            SshRequest::Verify(b"pw".to_vec()),
-            SshRequest::Enroll(Vec::new()),
-        ] {
-            assert_eq!(SshRequest::parse(&req.to_bytes()).unwrap(), req);
         }
     }
 }

@@ -3,9 +3,9 @@
 //! [`Asm`] is a small label-based assembler over the `sea_core::vm`
 //! ISA; the program constructors here assemble the four §4.1
 //! applications into [`sea_core::VmPal`]s whose measured image is the
-//! serialized bytecode itself. Each program is pinned against its
-//! cost-model twin by the `vm_differential` integration suite: same
-//! outputs, same seal/unseal sequences, same attestation verdicts.
+//! serialized bytecode itself. The `vm_differential` integration suite
+//! pins each program's outputs, key material, signatures and session
+//! shape to recorded bytes.
 
 mod asm;
 mod programs;

@@ -1,8 +1,8 @@
 //! The paper's four PALs as executed bytecode.
 //!
-//! Each program speaks the exact wire protocol of its cost-model twin
-//! (same request encodings, same outputs, same TPM-operation sequence),
-//! but its measured image is the serialized bytecode the VM executes —
+//! Each program speaks its application's wire protocol (the request
+//! encodings and output formats in the crate root), and its measured
+//! image is the serialized bytecode the VM executes —
 //! `PalLogic::image()` is [`sea_core::Program::serialize`], so the
 //! sePCR chain and every quote commit to the actual instructions.
 //!
@@ -204,7 +204,7 @@ pub fn ca_program() -> Program {
 
 /// The distributed-factoring program. `n` and the per-quantum candidate
 /// budget live in the data segment (they are *part of the measured
-/// image*, exactly as the twin folds them into its image bytes); the
+/// image*, so sealed progress is bound to this exact job); the
 /// current candidate persists per `mode` — as 8-byte in-region state
 /// across `SYIELD`, or TPM-sealed in slot 0 across full sessions.
 ///
@@ -261,7 +261,7 @@ pub fn factoring_program(n: u64, candidates_per_quantum: u64, mode: PersistMode)
                 .exit(10);
         }
     }
-    // `candidate² > n` (twin's primality cutoff) without overflow:
+    // The primality cutoff `candidate² > n`, without overflow:
     // `n / candidate < candidate`.
     a.label("s_body")
         .divu(13, 5, 7)
@@ -374,8 +374,8 @@ pub fn rootkit_image(known_good_kernels: &[&[u8]]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::{decode_factors, decode_public_key, verify_ca_signature, CaRequest, SshRequest};
-    use sea_core::{EnhancedSea, LegacySea, PalLogic, SecurePlatform};
-    use sea_hw::{CpuId, Platform};
+    use sea_core::{EnhancedSea, LegacySea, PalLogic, PalStep, SecurePlatform};
+    use sea_hw::{CpuId, Platform, SimDuration};
     use sea_tpm::KeyStrength;
 
     fn legacy(seed: &[u8]) -> LegacySea {
@@ -429,11 +429,48 @@ mod tests {
             )
             .unwrap();
         assert_eq!(good.output, Some(vec![1]));
+        // Verify sessions unseal but never reseal.
+        assert!(good.report.unseal > SimDuration::ZERO);
+        assert_eq!(good.report.seal, SimDuration::ZERO);
         let bad = sea
             .run_session(
                 &mut pal,
                 &SshRequest::Verify(b"letmein".to_vec()).to_bytes(),
             )
+            .unwrap();
+        assert_eq!(bad.output, Some(vec![0]));
+    }
+
+    #[test]
+    fn ssh_enroll_then_verify_enhanced() {
+        let mut sea = enhanced(b"vm-ssh-e");
+        let mut pal = vm_ssh();
+        let enroll = SshRequest::Enroll(b"pw".to_vec()).to_bytes();
+        let id = sea.slaunch(&mut pal, &enroll, CpuId(0), None).unwrap();
+        let done = sea.run_to_exit(&mut pal, id, CpuId(0)).unwrap();
+        assert_eq!(done.output, vec![1]);
+        sea.quote_and_free(id, b"n").unwrap();
+
+        let verify = SshRequest::Verify(b"pw".to_vec()).to_bytes();
+        let id = sea.slaunch(&mut pal, &verify, CpuId(1), None).unwrap();
+        let done = sea.run_to_exit(&mut pal, id, CpuId(1)).unwrap();
+        assert_eq!(done.output, vec![1]);
+    }
+
+    #[test]
+    fn ssh_empty_password_is_enrollable_and_distinct() {
+        let mut sea = legacy(b"vm-ssh-empty");
+        let mut pal = vm_ssh();
+        let enrolled = sea
+            .run_session(&mut pal, &SshRequest::Enroll(Vec::new()).to_bytes())
+            .unwrap();
+        assert_eq!(enrolled.output, Some(vec![1]));
+        let good = sea
+            .run_session(&mut pal, &SshRequest::Verify(Vec::new()).to_bytes())
+            .unwrap();
+        assert_eq!(good.output, Some(vec![1]));
+        let bad = sea
+            .run_session(&mut pal, &SshRequest::Verify(b"a".to_vec()).to_bytes())
             .unwrap();
         assert_eq!(bad.output, Some(vec![0]));
     }
@@ -458,6 +495,9 @@ mod tests {
         let r = sea
             .run_session(&mut pal, &CaRequest::Generate.to_bytes())
             .unwrap();
+        // Gen session: Seal but no Unseal (Figure 2's PAL Gen shape).
+        assert!(r.report.seal > SimDuration::ZERO);
+        assert_eq!(r.report.unseal, SimDuration::ZERO);
         let public = decode_public_key(&r.output.unwrap()).expect("valid public key");
         assert!(pal.slot(0).is_some(), "private key sealed into slot 0");
 
@@ -465,6 +505,9 @@ mod tests {
         let r = sea
             .run_session(&mut pal, &CaRequest::Sign(csr.to_vec()).to_bytes())
             .unwrap();
+        // Use session: Unseal but no re-Seal (§4.1).
+        assert!(r.report.unseal > SimDuration::ZERO);
+        assert_eq!(r.report.seal, SimDuration::ZERO);
         let sig = r.output.unwrap();
         assert!(verify_ca_signature(&public, csr, &sig));
         assert!(!verify_ca_signature(&public, b"CN=evil.org", &sig));
@@ -474,7 +517,8 @@ mod tests {
     fn ca_rejects_malformed_and_unkeyed() {
         let mut sea = legacy(b"vm-ca-err");
         let mut pal = vm_ca();
-        // Generate with a payload is malformed (twin parity).
+        assert!(sea.run_session(&mut pal, b"").is_err(), "empty request");
+        // Generate with a payload is malformed.
         assert!(sea.run_session(&mut pal, &[0x00, 0xFF]).is_err());
         assert!(sea.run_session(&mut pal, &[0x02]).is_err());
         assert!(sea
@@ -489,7 +533,11 @@ mod tests {
         let id = sea.slaunch(&mut pal, b"", CpuId(0), None).unwrap();
         let done = sea.run_to_exit(&mut pal, id, CpuId(0)).unwrap();
         assert_eq!(decode_factors(&done.output), Some((101, 103)));
-        assert!(done.report.context_switch > sea_hw::SimDuration::ZERO);
+        // Progress stays in the region across SYIELD: suspend/resume
+        // cycles, and no TPM sealing at all.
+        assert!(done.report.context_switch > SimDuration::ZERO);
+        assert_eq!(done.report.seal, SimDuration::ZERO);
+        assert_eq!(done.report.unseal, SimDuration::ZERO);
     }
 
     #[test]
@@ -505,6 +553,12 @@ mod tests {
                 break f;
             }
             assert!(pal.slot(0).is_some(), "progress sealed between sessions");
+            // Every non-final session pays for a Seal; every session
+            // after the first pays for an Unseal.
+            assert!(r.report.seal > SimDuration::ZERO);
+            if sessions > 1 {
+                assert!(r.report.unseal > SimDuration::ZERO);
+            }
             assert!(sessions < 100, "runaway");
         };
         assert_eq!(factors, (101, 103));
@@ -530,9 +584,28 @@ mod tests {
     }
 
     #[test]
+    fn factoring_even_n_factors_at_once() {
+        // The first candidate divides: the first quantum exits with the
+        // factors, without a single yield.
+        let mut sea = enhanced(b"vm-fact-even");
+        let mut pal = vm_factoring(1000, 5, PersistMode::InRegion);
+        let id = sea.slaunch(&mut pal, b"", CpuId(0), None).unwrap();
+        match sea.step(&mut pal, id).unwrap() {
+            PalStep::Exited { output } => assert_eq!(decode_factors(&output), Some((2, 500))),
+            PalStep::Yielded => panic!("an even n must factor in the first quantum"),
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "nothing to factor")]
     fn factoring_tiny_n_panics() {
         let _ = vm_factoring(3, 10, PersistMode::InRegion);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantum must make progress")]
+    fn factoring_zero_quantum_panics() {
+        let _ = vm_factoring(100, 0, PersistMode::InRegion);
     }
 
     #[test]

@@ -204,11 +204,6 @@ impl Tpm {
         &self.timing
     }
 
-    /// Replaces the timing model (used by the §5.7 speed-up ablation).
-    pub fn set_timing(&mut self, timing: TpmTimingModel) {
-        self.timing = timing;
-    }
-
     /// Pins every command latency to the model's *mean* instead of
     /// sampling calibrated jitter.
     ///

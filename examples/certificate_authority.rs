@@ -11,7 +11,8 @@
 
 use minimal_tcb::core::{LegacySea, SecurePlatform};
 use minimal_tcb::hw::Platform;
-use minimal_tcb::pals::{decode_public_key, verify_ca_signature, CaRequest, CertAuthority};
+use minimal_tcb::pals::vm::vm_ca;
+use minimal_tcb::pals::{decode_public_key, verify_ca_signature, CaRequest};
 use minimal_tcb::tpm::KeyStrength;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let platform = SecurePlatform::new(Platform::hp_dc5750(), KeyStrength::Demo512, b"ca-demo");
     let mut sea = LegacySea::new(platform)?;
-    let mut ca = CertAuthority::new();
+    let mut ca = vm_ca();
 
     // Gen session: create + seal the CA key.
     let gen = sea.run_session(&mut ca, &CaRequest::Generate.to_bytes())?;
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nNote the per-signature overhead: every Use session pays a full\n\
-         SKINIT plus a TPM Unseal — >1 s of overhead for ~5 ms of signing.\n\
+         SKINIT plus a TPM Unseal — close to 1 s of overhead for ~5 ms of signing.\n\
          This is exactly the impracticality §4 of the paper demonstrates."
     );
 

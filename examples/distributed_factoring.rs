@@ -12,7 +12,8 @@
 
 use minimal_tcb::core::{EnhancedSea, LegacySea, SecurePlatform, SessionReport};
 use minimal_tcb::hw::{CpuId, Platform};
-use minimal_tcb::pals::{decode_factors, FactoringPal, PersistMode};
+use minimal_tcb::pals::vm::vm_factoring;
+use minimal_tcb::pals::{decode_factors, PersistMode};
 use minimal_tcb::tpm::KeyStrength;
 
 const N: u64 = 104_729 * 104_723; // product of two five-digit primes
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b"factor-legacy",
     );
     let mut legacy = LegacySea::new(platform)?;
-    let mut worker = FactoringPal::new(N, QUANTUM, PersistMode::TpmSeal);
+    let mut worker = vm_factoring(N, QUANTUM, PersistMode::TpmSeal);
     let mut total = SessionReport::default();
     let mut sessions = 0u32;
     let factors = loop {
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b"factor-enhanced",
     );
     let mut enhanced = EnhancedSea::new(platform)?;
-    let mut worker = FactoringPal::new(N, QUANTUM, PersistMode::InRegion);
+    let mut worker = vm_factoring(N, QUANTUM, PersistMode::InRegion);
     let id = enhanced.slaunch(&mut worker, b"", CpuId(0), None)?;
     let done = enhanced.run_to_exit(&mut worker, id, CpuId(0))?;
     let factors2 = decode_factors(&done.output).expect("factors found");

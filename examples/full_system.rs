@@ -12,7 +12,8 @@
 use minimal_tcb::core::{EnhancedSea, FnPal, PalLogic, PalOutcome, SecurePlatform, Verifier};
 use minimal_tcb::hw::{CpuId, Machine, Platform, SimDuration};
 use minimal_tcb::os::{Adversary, Scheduler};
-use minimal_tcb::pals::{RootkitDetector, SshPassword, SshRequest};
+use minimal_tcb::pals::vm::{vm_rootkit, vm_ssh};
+use minimal_tcb::pals::SshRequest;
 use minimal_tcb::tpm::{EventLog, KeyStrength, PcrIndex, Quote};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -91,9 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sched = Scheduler::new(sea);
     sched.set_preemption_timer(Some(SimDuration::from_ms(5)));
     let kernel = b"kernel-5.5".to_vec();
-    sched.add_job(Box::new(RootkitDetector::new(&[&kernel])), &kernel);
+    sched.add_job(Box::new(vm_rootkit(&[&kernel])), &kernel);
     sched.add_job(
-        Box::new(SshPassword::new()),
+        Box::new(vm_ssh()),
         &SshRequest::Enroll(b"hunter2".to_vec()).to_bytes(),
     );
     for i in 0..4 {

@@ -14,7 +14,8 @@
 use minimal_tcb::core::{EnhancedSea, FnPal, LegacySea, PalLogic, PalOutcome, SecurePlatform};
 use minimal_tcb::hw::{CpuId, Platform, SimDuration};
 use minimal_tcb::os::{LegacyBatch, Scheduler};
-use minimal_tcb::pals::{SshPassword, SshRequest};
+use minimal_tcb::pals::vm::vm_ssh;
+use minimal_tcb::pals::SshRequest;
 use minimal_tcb::tpm::KeyStrength;
 
 const N_CPUS: u16 = 4;
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     scheduler.set_preemption_timer(Some(SimDuration::from_ms(10)));
 
     // A realistic mix: one real SSH-password PAL plus synthetic services.
-    let mut ssh = SshPassword::new();
+    let mut ssh = vm_ssh();
     // Enroll first (single session, outside the measured batch).
     {
         let sea = scheduler.sea_mut();
@@ -83,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let platform = SecurePlatform::new(baseline_platform, KeyStrength::Demo512, b"server-legacy");
     let mut batch = LegacyBatch::new(LegacySea::new(platform)?);
     batch.add_job(
-        Box::new(SshPassword::new()),
+        Box::new(vm_ssh()),
         &SshRequest::Enroll(b"correct horse battery staple".to_vec()).to_bytes(),
     );
     for i in 0..6 {

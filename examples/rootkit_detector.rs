@@ -13,7 +13,8 @@
 use minimal_tcb::core::{EnhancedSea, PalLogic, SecurePlatform, Verifier};
 use minimal_tcb::crypto::Sha1;
 use minimal_tcb::hw::{CpuId, Platform};
-use minimal_tcb::pals::{RootkitDetector, RootkitVerdict};
+use minimal_tcb::pals::vm::vm_rootkit;
+use minimal_tcb::pals::RootkitVerdict;
 use minimal_tcb::tpm::KeyStrength;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sea = EnhancedSea::new(platform)?;
     let verifier = Verifier::new(sea.platform().tpm().unwrap().aik_public().clone());
 
-    let mut detector = RootkitDetector::new(&[&good_kernel]);
+    let mut detector = vm_rootkit(&[&good_kernel]);
     let detector_image = detector.image();
 
     for (label, snapshot) in [

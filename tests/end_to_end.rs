@@ -7,9 +7,10 @@ use minimal_tcb::core::{
 };
 use minimal_tcb::hw::{CpuId, CpuVendor, Platform, SimDuration};
 use minimal_tcb::os::Scheduler;
+use minimal_tcb::pals::vm::{vm_ca, vm_factoring, vm_rootkit, vm_ssh};
 use minimal_tcb::pals::{
-    decode_factors, decode_public_key, verify_ca_signature, CaRequest, CertAuthority, FactoringPal,
-    PersistMode, RootkitDetector, RootkitVerdict, SshPassword, SshRequest,
+    decode_factors, decode_public_key, verify_ca_signature, CaRequest, PersistMode, RootkitVerdict,
+    SshRequest,
 };
 use minimal_tcb::tpm::KeyStrength;
 
@@ -32,7 +33,7 @@ fn full_ca_lifecycle_with_external_verification() {
     // signing, and an attestation that convinces a remote verifier the
     // genuine CA PAL (and nothing else) handled the key.
     let mut sea = legacy(Platform::hp_dc5750(), b"e2e-ca");
-    let mut ca = CertAuthority::new();
+    let mut ca = vm_ca();
     let ca_image = ca.image();
 
     let gen = sea
@@ -75,7 +76,7 @@ fn factoring_agrees_across_architectures() {
     const N: u64 = 293 * 307;
     // Baseline.
     let mut sea_l = legacy(Platform::hp_dc5750(), b"e2e-fact");
-    let mut w1 = FactoringPal::new(N, 50, PersistMode::TpmSeal);
+    let mut w1 = vm_factoring(N, 50, PersistMode::TpmSeal);
     let f1 = loop {
         let r = sea_l.run_session(&mut w1, b"").unwrap();
         if let Some(f) = decode_factors(&r.output.unwrap_or_default()) {
@@ -84,7 +85,7 @@ fn factoring_agrees_across_architectures() {
     };
     // Proposed.
     let mut sea_e = enhanced(2, b"e2e-fact");
-    let mut w2 = FactoringPal::new(N, 50, PersistMode::InRegion);
+    let mut w2 = vm_factoring(N, 50, PersistMode::InRegion);
     let id = sea_e.slaunch(&mut w2, b"", CpuId(0), None).unwrap();
     let done = sea_e.run_to_exit(&mut w2, id, CpuId(0)).unwrap();
     let f2 = decode_factors(&done.output).unwrap();
@@ -99,13 +100,13 @@ fn scheduler_runs_heterogeneous_pal_mix() {
     sched.set_preemption_timer(Some(SimDuration::from_ms(50)));
 
     let kernel = b"production kernel".to_vec();
-    sched.add_job(Box::new(RootkitDetector::new(&[&kernel])), &kernel);
+    sched.add_job(Box::new(vm_rootkit(&[&kernel])), &kernel);
     sched.add_job(
-        Box::new(FactoringPal::new(97 * 89, 40, PersistMode::InRegion)),
+        Box::new(vm_factoring(97 * 89, 40, PersistMode::InRegion)),
         b"",
     );
     sched.add_job(
-        Box::new(SshPassword::new()),
+        Box::new(vm_ssh()),
         &SshRequest::Enroll(b"pw".to_vec()).to_bytes(),
     );
     for i in 0..3 {

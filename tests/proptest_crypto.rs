@@ -7,7 +7,8 @@ mod common;
 
 use common::{check, prop_assert, prop_assert_eq, prop_assert_ne};
 use minimal_tcb::crypto::{
-    BigUint, CryptoError, Drbg, Hmac, OaepLabel, RsaPrivateKey, Sha1, Sha256, Signature,
+    BigUint, CryptoError, Drbg, Hmac, OaepLabel, RsaPrivateKey, RsaPublicKey, Sha1, Sha256,
+    Signature,
 };
 
 /// Case count for the plain bignum/hash properties (matches the original
@@ -321,6 +322,45 @@ fn rsa_signature_rejects_truncated_signature() {
             let keep = t.range(0, sig.0.len());
             let truncated = Signature(sig.0[..keep].to_vec());
             prop_assert!(!key.public_key().verify_pkcs1v15(&digest, &truncated));
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn untrusted_public_keys_verify_and_encrypt_without_panicking() {
+    // Public keys arrive from untrusted bytes (AIK certificates, the CA
+    // PAL's output). Whatever `from_bytes` accepts — moduli too short
+    // for a PKCS#1 v1.5 encoding or OAEP included — must give a verdict
+    // or a typed error, never a panic.
+    check(
+        "untrusted_public_keys_verify_and_encrypt_without_panicking",
+        CASES,
+        |t| {
+            let n = t.bytes(0, 80);
+            let e = t.bytes(0, 5);
+            let mut encoded = Vec::new();
+            for part in [&n, &e] {
+                encoded.extend_from_slice(&(part.len() as u32).to_be_bytes());
+                encoded.extend_from_slice(part);
+            }
+            let Ok(key) = RsaPublicKey::from_bytes(&encoded) else {
+                return Ok(());
+            };
+            let k = key.modulus_len();
+            let digest = Sha1::digest(&t.bytes(0, 16));
+            let sig = Signature((0..k).map(|_| t.byte()).collect());
+            let payload = t.bytes(0, 24);
+            let seed = t.u64().to_le_bytes();
+            let verdict = std::panic::catch_unwind(|| {
+                let verified = key.verify_pkcs1v15(&digest, &sig);
+                let _ = key.encrypt_oaep(&payload, &OaepLabel::default(), &mut Drbg::new(&seed));
+                verified
+            })
+            .map_err(|_| format!("panicked on a {k}-byte modulus"))?;
+            if k < 46 {
+                prop_assert!(!verdict, "a {k}-byte modulus verified a signature");
+            }
             Ok(())
         },
     );

@@ -2,7 +2,8 @@
 //!
 //! The durable engine's contract — yank the cord at any trace-event
 //! boundary, recover to sessions byte-identical to the crash-free run —
-//! was pinned by `tests/crash_recovery.rs` over cost-model `FnPal`s.
+//! was pinned by `tests/crash_recovery.rs` over closure `FnPal`s, whose
+//! costs are modelled constants.
 //! This suite re-proves it over *real* VM PALs, where a cut can land
 //! mid-interpretation: between translated blocks, inside a yield chain,
 //! or between a seal and its quote. A platform reset evaporates the
