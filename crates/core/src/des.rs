@@ -13,13 +13,12 @@
 //! * events fire in `(time, session id)` order, FIFO at exact ties —
 //!   the tie-break contract pinned by `tests/proptest_invariants.rs`;
 //! * the TPM command gate is the per-CPU-lane arbiter
-//!   ([`ShardedTpmArbiter`], whose grant order `sea-tpm`'s differential
-//!   test pins to its reference, [`sea_tpm::EventOrderedTpmLock`]): a quote
-//!   occupies the TPM for its virtual duration, contending quotes are
-//!   granted by `(request time, CPU)` instead of by whichever OS
-//!   thread takes the runtime lock first, and each grant carries its
-//!   request stamp so the queueing delay is charged to `tpm.gate`
-//!   lock-wait;
+//!   ([`ShardedTpmArbiter`], whose grant order `sea-tpm` pins to a
+//!   recorded reference stream): a quote occupies the TPM for its
+//!   virtual duration, contending quotes are granted by `(request
+//!   time, CPU)` instead of by whichever OS thread takes the runtime
+//!   lock first, and each grant carries its request stamp so the
+//!   queueing delay is charged to `tpm.gate` lock-wait;
 //! * journal commit gates run at the committing session's terminal
 //!   event, in event order.
 //!
@@ -32,10 +31,8 @@
 //! the engine's determinism contract.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use sea_hw::{CpuClockDomain, CpuId, EventQueue, Layer, Obs, SharedClock, SimDuration, SimTime};
+use sea_hw::{CpuId, EventQueue, Layer, Obs, SimDuration, SimTime};
 use sea_tpm::ShardedTpmArbiter;
 
 use crate::driver::{DriveStep, SessionDriver};
@@ -56,34 +53,31 @@ enum Ev {
     Release { cpu: usize },
 }
 
-/// Per-virtual-CPU state: the jobs still queued and the session in
-/// flight.
+/// Per-virtual-CPU state: the jobs still queued, the session in
+/// flight, and the busy time of the sessions already finished.
 struct VirtualCpu<A: Architecture> {
     queue: VecDeque<(usize, ConcurrentJob)>,
     current: Option<SessionDriver<A>>,
-    domain: CpuClockDomain,
+    busy: SimDuration,
 }
 
 /// Runs one epoch of the batch on `workers` virtual CPUs driven by the
 /// event queue. Same contract as the thread-pool
 /// [`crate::threadpool::run_epoch`]: per-job attempts indexed by job,
 /// plus each virtual CPU's busy time.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_epoch<A: Architecture>(
     workers: usize,
     n_jobs: usize,
     pending: Vec<(usize, ConcurrentJob)>,
-    rt: &Arc<OrderedLock<A::Runtime>>,
+    rt: &OrderedLock<A::Runtime>,
     obs: &Obs,
-    clock: &Arc<SharedClock>,
-    epoch: SimTime,
     mode: WorkerMode<'_>,
 ) -> Result<(Vec<Option<Attempt>>, Vec<SimDuration>), SeaError> {
     let mut cpus: Vec<VirtualCpu<A>> = (0..workers)
         .map(|_| VirtualCpu {
             queue: VecDeque::new(),
             current: None,
-            domain: CpuClockDomain::at(Arc::clone(clock), epoch),
+            busy: SimDuration::ZERO,
         })
         .collect();
     // Jobs keep their static assignment (job i → virtual CPU
@@ -117,31 +111,18 @@ pub(crate) fn run_epoch<A: Architecture>(
                 let Some((i, job)) = cpus[cpu].queue.pop_front() else {
                     continue;
                 };
-                if let WorkerMode::Durable(ctx) = &mode {
-                    if ctx.crashed.load(Ordering::SeqCst) {
-                        // The platform is already dark; this job never
-                        // started (and charges no busy time).
+                match mode.start::<A>(i, CpuId(cpu as u16), job) {
+                    Ok(driver) => {
+                        cpus[cpu].current = Some(driver);
+                        events.schedule(t, i as u64, Ev::Op { cpu });
+                    }
+                    Err(job) => {
                         attempts[i] = Some(Attempt::Torn(job));
                         if let Some(&(next, _)) = cpus[cpu].queue.front() {
                             events.schedule(t, next as u64, Ev::Start { cpu });
                         }
-                        continue;
                     }
-                    lock(ctx.journal).record_intent(i as u64);
                 }
-                let (policy, journaled) = match &mode {
-                    WorkerMode::Plain => (None, false),
-                    WorkerMode::Recovered { retry } => (Some(*retry), false),
-                    WorkerMode::Durable(ctx) => (Some(ctx.retry), true),
-                };
-                cpus[cpu].current = Some(SessionDriver::<A>::new(
-                    i,
-                    CpuId(cpu as u16),
-                    job,
-                    policy,
-                    journaled,
-                ));
-                events.schedule(t, i as u64, Ev::Op { cpu });
             }
 
             Ev::Op { cpu } => {
@@ -171,16 +152,12 @@ pub(crate) fn run_epoch<A: Architecture>(
                     }
                 }
 
-                let journal = match &mode {
-                    WorkerMode::Durable(ctx) => Some(ctx.journal),
-                    _ => None,
-                };
                 let before = machine_now::<A>(rt);
                 let step = cpus[cpu]
                     .current
                     .as_mut()
                     .expect("op event only fires with a session in flight")
-                    .advance(rt, obs, journal);
+                    .advance(rt, obs, mode.journal());
                 let elapsed = machine_now::<A>(rt).duration_since(before);
                 let local = match &step {
                     DriveStep::Running { local_cost } => *local_cost,
@@ -218,29 +195,8 @@ pub(crate) fn run_epoch<A: Architecture>(
                     DriveStep::Terminal(result) => {
                         let driver = cpus[cpu].current.take().expect("terminal session exists");
                         let i = driver.index();
-                        let attempt = match &mode {
-                            WorkerMode::Plain | WorkerMode::Recovered { .. } => {
-                                if let Ok(r) = &result {
-                                    cpus[cpu].domain.advance(r.cost());
-                                }
-                                Attempt::Done(result)
-                            }
-                            WorkerMode::Durable(ctx) => {
-                                let session = result?;
-                                let attempt = ctx.commit_gate::<A>(
-                                    rt,
-                                    obs,
-                                    i as u64,
-                                    session,
-                                    driver.into_job(),
-                                )?;
-                                if let Attempt::Committed(s) | Attempt::Volatile(s, _) = &attempt {
-                                    cpus[cpu].domain.advance(s.cost());
-                                }
-                                attempt
-                            }
-                        };
-                        cpus[cpu].domain.publish();
+                        let (attempt, busy) = mode.finish(rt, obs, driver, result)?;
+                        cpus[cpu].busy += busy;
                         attempts[i] = Some(attempt);
                         if let Some(&(next, _)) = cpus[cpu].queue.front() {
                             events.schedule(done_at, next as u64, Ev::Start { cpu });
@@ -266,6 +222,6 @@ pub(crate) fn run_epoch<A: Architecture>(
         }
     }
 
-    let busy = cpus.iter().map(|c| c.domain.busy()).collect();
+    let busy = cpus.iter().map(|c| c.busy).collect();
     Ok((attempts, busy))
 }

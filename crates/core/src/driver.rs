@@ -126,8 +126,6 @@ pub(crate) struct SessionDriver<A: Architecture> {
     /// `Some` ⇒ keyed (recovered) driving with this retry policy;
     /// `None` ⇒ the plain fast path (unkeyed, errors surface).
     policy: Option<RetryPolicy>,
-    /// Record the write-ahead `launched` entry on launch success.
-    journaled: bool,
     phase: Phase<A>,
     retries: u32,
     recovery_cost: SimDuration,
@@ -142,14 +140,12 @@ impl<A: Architecture> SessionDriver<A> {
         cpu: CpuId,
         job: ConcurrentJob,
         policy: Option<RetryPolicy>,
-        journaled: bool,
     ) -> Self {
         SessionDriver {
             index,
             cpu,
             job,
             policy,
-            journaled,
             phase: Phase::Launch,
             retries: 0,
             recovery_cost: SimDuration::ZERO,
@@ -231,9 +227,9 @@ impl<A: Architecture> SessionDriver<A> {
     /// Executes exactly one architecture operation and moves the
     /// machine to its next phase.
     ///
-    /// `journal` must be `Some` whenever the driver was built
-    /// `journaled` (the durable mode); it receives the write-ahead
-    /// `launched` record in the same advance as the successful launch.
+    /// `journal` is `Some` exactly in the durable mode; it receives the
+    /// write-ahead `launched` record in the same advance as the
+    /// successful launch.
     pub(crate) fn advance(
         &mut self,
         rt: &OrderedLock<A::Runtime>,
@@ -246,10 +242,8 @@ impl<A: Architecture> SessionDriver<A> {
                 let error =
                     match A::launch(rt, &mut *self.job.logic, &self.job.input, self.cpu, key) {
                         Ok(live) => {
-                            if self.journaled {
-                                if let Some(journal) = journal {
-                                    lock(journal).record_launched(self.index as u64);
-                                }
+                            if let Some(journal) = journal {
+                                lock(journal).record_launched(self.index as u64);
                             }
                             self.phase = Phase::Step(live);
                             return DriveStep::Running {

@@ -38,13 +38,14 @@
 //! # Determinism
 //!
 //! Both executors inherit the concurrent engine's contract: job *i*
-//! runs on worker/CPU `i % workers`, per-job costs are intrinsic,
-//! per-CPU busy time folds into the shared timeline via an atomic max,
-//! and results return in job-index order — so outcomes are
-//! byte-identical across worker counts, host interleavings, *and
-//! executors*. The differential suites (`tests/golden_differential.rs`,
-//! `tests/executor_differential.rs`) pin the two backends against each
-//! other.
+//! runs on worker/CPU `i % workers`, per-job costs are intrinsic, each
+//! CPU sums its own jobs' costs into its busy time, and results return
+//! in job-index order — so outcomes are byte-identical across worker
+//! counts, host interleavings, *and executors*. Both call the same
+//! per-job steps, `WorkerMode::start` and `WorkerMode::finish`, around
+//! the shared session driver. The differential suites
+//! (`tests/golden_differential.rs`, `tests/executor_differential.rs`)
+//! pin the two backends against each other.
 //!
 //! # Lock scope
 //!
@@ -58,14 +59,13 @@
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use sea_hw::{
-    CpuId, FaultPlan, Layer, Obs, ResetPlan, SharedClock, SimDuration, SimTime, TraceEvent,
-    PLATFORM_TRACK,
+    CpuId, FaultPlan, Layer, Obs, ResetPlan, SimDuration, SimTime, TraceEvent, PLATFORM_TRACK,
 };
 use sea_tpm::{Quote, SealedBlob, Timed};
 
+use crate::driver::SessionDriver;
 use crate::enhanced::{EnhancedSea, PalId, PalStep};
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
@@ -1000,23 +1000,23 @@ impl ResetTriggers {
 #[derive(Clone, Copy)]
 pub(crate) struct DurableCtx<'a> {
     /// The retry budget and backoff schedule.
-    pub(crate) retry: RetryPolicy,
+    retry: RetryPolicy,
     /// Resets already survived (the power-loss roll's epoch key).
-    pub(crate) reset_epoch: u64,
+    reset_epoch: u64,
     /// The write-ahead journal.
-    pub(crate) journal: &'a OrderedLock<SessionJournal>,
+    journal: &'a OrderedLock<SessionJournal>,
     /// Power-loss decision state.
-    pub(crate) triggers: &'a OrderedLock<ResetTriggers>,
+    triggers: &'a OrderedLock<ResetTriggers>,
     /// Accumulated checkpoint-seal time.
-    pub(crate) journal_overhead: &'a OrderedLock<SimDuration>,
+    journal_overhead: &'a OrderedLock<SimDuration>,
     /// Set when the cord is yanked; later commits observe it and tear.
-    pub(crate) crashed: &'a AtomicBool,
+    crashed: &'a AtomicBool,
     /// Terminal commits batched per NVRAM seal (group commit; ≥ 1).
-    pub(crate) group: usize,
+    group: usize,
     /// Commits journaled since the last seal; sealing resets it. Lives
     /// beside `crashed` in the epoch loop, so a crash discards the
     /// buffer exactly as it discards unsealed journal state.
-    pub(crate) pending_seals: &'a AtomicUsize,
+    pending_seals: &'a AtomicUsize,
 }
 
 impl DurableCtx<'_> {
@@ -1028,11 +1028,11 @@ impl DurableCtx<'_> {
     /// shared PLATFORM_TRACK, so their ordering must serialize with
     /// the commits.)
     ///
-    /// Identical for both executors: on the thread pool the gate runs
-    /// on the worker's thread right after the drive; on the
-    /// discrete-event backend it runs at the session's terminal event,
-    /// in event order.
-    pub(crate) fn commit_gate<A: Architecture>(
+    /// Identical for both executors (it runs inside
+    /// [`WorkerMode::finish`]): on the thread pool right after the
+    /// drive, on the worker's thread; on the discrete-event backend at
+    /// the session's terminal event, in event order.
+    fn commit_gate<A: Architecture>(
         &self,
         rt: &OrderedLock<A::Runtime>,
         obs: &Obs,
@@ -1119,6 +1119,66 @@ pub(crate) enum WorkerMode<'a> {
     Durable(DurableCtx<'a>),
 }
 
+impl<'a> WorkerMode<'a> {
+    /// Opens job `i` on `cpu`: the driver to advance to its terminal,
+    /// or — when a durable epoch's platform has already gone dark —
+    /// the torn job, which never started and charges no busy time. A
+    /// durable job records its write-ahead intent before it starts.
+    pub(crate) fn start<A: Architecture>(
+        &self,
+        i: usize,
+        cpu: CpuId,
+        job: ConcurrentJob,
+    ) -> Result<SessionDriver<A>, ConcurrentJob> {
+        let retry = match self {
+            WorkerMode::Plain => None,
+            WorkerMode::Recovered { retry } => Some(*retry),
+            WorkerMode::Durable(ctx) => {
+                if ctx.crashed.load(Ordering::SeqCst) {
+                    return Err(job);
+                }
+                lock(ctx.journal).record_intent(i as u64);
+                Some(ctx.retry)
+            }
+        };
+        Ok(SessionDriver::new(i, cpu, job, retry))
+    }
+
+    /// The write-ahead journal every advance writes through (durable
+    /// epochs only).
+    pub(crate) fn journal(&self) -> Option<&'a OrderedLock<SessionJournal>> {
+        match self {
+            WorkerMode::Durable(ctx) => Some(ctx.journal),
+            WorkerMode::Plain | WorkerMode::Recovered { .. } => None,
+        }
+    }
+
+    /// Closes a session its driver has brought to `result`: a durable
+    /// epoch runs the commit gate (an infrastructure error aborts the
+    /// batch). Returns the job's attempt and the busy time it charges
+    /// its CPU — the session's cost, or zero for an error or a tear.
+    pub(crate) fn finish<A: Architecture>(
+        &self,
+        rt: &OrderedLock<A::Runtime>,
+        obs: &Obs,
+        driver: SessionDriver<A>,
+        result: Result<SessionResult, SeaError>,
+    ) -> Result<(Attempt, SimDuration), SeaError> {
+        let attempt = match self {
+            WorkerMode::Durable(ctx) => {
+                let key = driver.index() as u64;
+                ctx.commit_gate::<A>(rt, obs, key, result?, driver.into_job())?
+            }
+            WorkerMode::Plain | WorkerMode::Recovered { .. } => Attempt::Done(result),
+        };
+        let busy = match &attempt {
+            Attempt::Done(Ok(s)) | Attempt::Committed(s) | Attempt::Volatile(s, _) => s.cost(),
+            Attempt::Done(Err(_)) | Attempt::Torn(_) => SimDuration::ZERO,
+        };
+        Ok((attempt, busy))
+    }
+}
+
 /// The unified batch engine: a worker pool (worker *k* plays CPU *k*)
 /// driving sessions of architecture `A` against **one shared** runtime,
 /// with batch behavior composed from a [`BatchPolicy`].
@@ -1147,8 +1207,7 @@ pub(crate) enum WorkerMode<'a> {
 /// assert!(outcome.speedup() > 1.0);
 /// ```
 pub struct SessionEngine<A: Architecture = Slaunch> {
-    rt: Arc<OrderedLock<A::Runtime>>,
-    clock: Arc<SharedClock>,
+    rt: OrderedLock<A::Runtime>,
     workers: usize,
     executor: Executor,
 }
@@ -1191,8 +1250,7 @@ impl<A: Architecture> SessionEngine<A> {
         }
         let rt = A::boot(platform)?;
         Ok(SessionEngine {
-            rt: Arc::new(OrderedLock::new(LockRank::Runtime, rt)),
-            clock: Arc::new(SharedClock::new()),
+            rt: OrderedLock::new(LockRank::Runtime, rt),
             workers,
             executor: Executor::from_env(),
         })
@@ -1231,11 +1289,6 @@ impl<A: Architecture> SessionEngine<A> {
     /// [`SessionEngine::install_obs`] was called).
     pub fn obs(&self) -> Obs {
         A::platform(&lock(&self.rt)).machine().obs().clone()
-    }
-
-    /// The shared virtual clock the batch timeline folds into.
-    pub fn clock(&self) -> &Arc<SharedClock> {
-        &self.clock
     }
 
     /// Installs (or clears) a deterministic fault plan on the shared
@@ -1346,10 +1399,6 @@ impl<A: Architecture> SessionEngine<A> {
             // Per-epoch like `crashed`: a crash discards the unsealed
             // group-commit buffer along with the rest of volatile state.
             let pending_seals = AtomicUsize::new(0);
-            // Every domain anchors at the epoch's start: reading the
-            // clock inside each worker would skew late-spawned domains
-            // by however far an early sibling had already published.
-            let epoch = self.clock.now();
             let reset_epoch = resets as u64;
             // One obs handle for the whole epoch, cloned before the
             // workers spawn so the hot path never locks the runtime
@@ -1382,20 +1431,11 @@ impl<A: Architecture> SessionEngine<A> {
                     pending_epoch,
                     &self.rt,
                     &obs,
-                    &self.clock,
-                    epoch,
                     mode,
                 )?,
-                Executor::DiscreteEvent => des::run_epoch::<A>(
-                    workers,
-                    n_jobs,
-                    pending_epoch,
-                    &self.rt,
-                    &obs,
-                    &self.clock,
-                    epoch,
-                    mode,
-                )?,
+                Executor::DiscreteEvent => {
+                    des::run_epoch::<A>(workers, n_jobs, pending_epoch, &self.rt, &obs, mode)?
+                }
             };
             for (k, b) in busy.into_iter().enumerate() {
                 cpu_busy[k] += b;
@@ -1499,15 +1539,7 @@ impl<A: Architecture> SessionEngine<A> {
 
     /// Tears the engine down, returning the shared runtime (e.g. to
     /// inspect the platform's final state in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if worker threads still hold the runtime (they cannot:
-    /// [`SessionEngine::run`] joins them before returning).
     pub fn into_inner(self) -> A::Runtime {
-        Arc::try_unwrap(self.rt)
-            .map_err(|_| ())
-            .expect("no workers are live outside run")
-            .into_inner()
+        self.rt.into_inner()
     }
 }

@@ -84,12 +84,6 @@ where
         }
     }
 
-    /// Replaces the measured image entirely.
-    pub fn with_image(mut self, image: Vec<u8>) -> Self {
-        self.image = image;
-        self
-    }
-
     /// Pads (or truncates) the measured image to exactly `len` bytes —
     /// used by the Table 1 benches that sweep PAL size.
     pub fn with_image_size(mut self, len: usize) -> Self {
@@ -303,8 +297,6 @@ mod tests {
         let sized = a.with_image_size(1000);
         assert_eq!(sized.image().len(), 1000);
         assert_eq!(sized.name(), "x");
-        let custom = FnPal::new("z", |_| Ok(PalOutcome::Yield)).with_image(vec![1, 2, 3]);
-        assert_eq!(custom.image(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -42,6 +42,48 @@ const SHA1_DIGEST_INFO_PREFIX: [u8; 15] = [
 /// a SHA-1 digest: the `DigestInfo` plus at least 11 bytes of padding.
 const MIN_PKCS1_V15_LEN: usize = SHA1_DIGEST_INFO_PREFIX.len() + SHA1_DIGEST_LEN + 11;
 
+/// Writes the key encoding both key types share: each field as a 4-byte
+/// big-endian length, then its minimal big-endian bytes.
+fn encode_fields(fields: &[&BigUint]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for field in fields {
+        let bytes = field.to_bytes_be();
+        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        out.extend_from_slice(&bytes);
+    }
+    out
+}
+
+/// Reads exactly `N` fields written by [`encode_fields`]. Only the
+/// canonical encoding is accepted, so a decoded key re-encodes to its
+/// input: a field must be nonempty and start with a nonzero byte (which
+/// also rules out a zero value), and no bytes may trail the last field.
+fn decode_fields<const N: usize>(bytes: &[u8]) -> Result<[BigUint; N], CryptoError> {
+    let mut rest = bytes;
+    let mut fields = Vec::with_capacity(N);
+    for _ in 0..N {
+        let (len, tail) = rest
+            .split_first_chunk::<4>()
+            .ok_or(CryptoError::InvalidCiphertext)?;
+        let len = u32::from_be_bytes(*len) as usize;
+        if tail.len() < len {
+            return Err(CryptoError::InvalidCiphertext);
+        }
+        let (field, tail) = tail.split_at(len);
+        if field.first().is_none_or(|&b| b == 0) {
+            return Err(CryptoError::InvalidCiphertext);
+        }
+        fields.push(BigUint::from_bytes_be(field));
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(CryptoError::InvalidCiphertext);
+    }
+    fields
+        .try_into()
+        .map_err(|_| CryptoError::InvalidCiphertext)
+}
+
 /// An RSA signature (big-endian, exactly the modulus length).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature(pub Vec<u8>);
@@ -145,40 +187,18 @@ impl RsaPublicKey {
     /// Serializes the key as length-prefixed `n` then `e` (big-endian) —
     /// the encoding AIK certificates embed.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for part in [self.n.to_bytes_be(), self.e.to_bytes_be()] {
-            out.extend_from_slice(&(part.len() as u32).to_be_bytes());
-            out.extend_from_slice(&part);
-        }
-        out
+        encode_fields(&[&self.n, &self.e])
     }
 
     /// Deserializes a key written by [`RsaPublicKey::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidCiphertext`] for malformed input
-    /// (truncated fields, trailing bytes, or a zero modulus/exponent).
+    /// Returns [`CryptoError::InvalidCiphertext`] for malformed or
+    /// non-canonical input (truncated fields, trailing bytes, a field
+    /// with a leading zero byte, or a zero modulus/exponent).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        let mut cursor = bytes;
-        let mut read_part = || -> Result<BigUint, CryptoError> {
-            if cursor.len() < 4 {
-                return Err(CryptoError::InvalidCiphertext);
-            }
-            let len = u32::from_be_bytes(cursor[..4].try_into().expect("4 bytes")) as usize;
-            cursor = &cursor[4..];
-            if cursor.len() < len {
-                return Err(CryptoError::InvalidCiphertext);
-            }
-            let v = BigUint::from_bytes_be(&cursor[..len]);
-            cursor = &cursor[len..];
-            Ok(v)
-        };
-        let n = read_part()?;
-        let e = read_part()?;
-        if !cursor.is_empty() || n.is_zero() || e.is_zero() {
-            return Err(CryptoError::InvalidCiphertext);
-        }
+        let [n, e] = decode_fields(bytes)?;
         Ok(RsaPublicKey { n, e })
     }
 
@@ -329,45 +349,18 @@ impl RsaPrivateKey {
     /// used to place keys in TPM sealed storage. The output contains the
     /// private exponent; treat it as secret.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for part in [
-            self.public.n.to_bytes_be(),
-            self.public.e.to_bytes_be(),
-            self.d.to_bytes_be(),
-        ] {
-            out.extend_from_slice(&(part.len() as u32).to_be_bytes());
-            out.extend_from_slice(&part);
-        }
-        out
+        encode_fields(&[&self.public.n, &self.public.e, &self.d])
     }
 
     /// Deserializes a key written by [`RsaPrivateKey::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidCiphertext`] for malformed input
-    /// (truncated fields, trailing bytes, or a zero `n`, `e` or `d`).
+    /// Returns [`CryptoError::InvalidCiphertext`] for malformed or
+    /// non-canonical input (truncated fields, trailing bytes, a field
+    /// with a leading zero byte, or a zero `n`, `e` or `d`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        let mut cursor = bytes;
-        let mut read_part = || -> Result<BigUint, CryptoError> {
-            if cursor.len() < 4 {
-                return Err(CryptoError::InvalidCiphertext);
-            }
-            let len = u32::from_be_bytes(cursor[..4].try_into().expect("4 bytes")) as usize;
-            cursor = &cursor[4..];
-            if cursor.len() < len {
-                return Err(CryptoError::InvalidCiphertext);
-            }
-            let v = BigUint::from_bytes_be(&cursor[..len]);
-            cursor = &cursor[len..];
-            Ok(v)
-        };
-        let n = read_part()?;
-        let e = read_part()?;
-        let d = read_part()?;
-        if !cursor.is_empty() || n.is_zero() || e.is_zero() || d.is_zero() {
-            return Err(CryptoError::InvalidCiphertext);
-        }
+        let [n, e, d] = decode_fields(bytes)?;
         Ok(RsaPrivateKey {
             public: RsaPublicKey { n, e },
             d,
@@ -789,6 +782,38 @@ mod tests {
         let mut trailing = test_key().to_bytes();
         trailing.push(0);
         assert!(RsaPrivateKey::from_bytes(&trailing).is_err());
+        // A leading zero byte on n, e or d writes the same key
+        // non-canonically; both key types refuse it.
+        let key = test_key();
+        let fields = [
+            key.public.n.to_bytes_be(),
+            key.public.e.to_bytes_be(),
+            key.d.to_bytes_be(),
+        ];
+        let encode = |parts: &[Vec<u8>]| {
+            let mut out = Vec::new();
+            for part in parts {
+                out.extend_from_slice(&(part.len() as u32).to_be_bytes());
+                out.extend_from_slice(part);
+            }
+            out
+        };
+        assert_eq!(encode(&fields), key.to_bytes());
+        assert_eq!(encode(&fields[..2]), key.public_key().to_bytes());
+        for i in 0..3 {
+            let mut parts = fields.clone();
+            parts[i].insert(0, 0);
+            assert_eq!(
+                RsaPrivateKey::from_bytes(&encode(&parts)).unwrap_err(),
+                CryptoError::InvalidCiphertext
+            );
+            if i < 2 {
+                assert_eq!(
+                    RsaPublicKey::from_bytes(&encode(&parts[..2])).unwrap_err(),
+                    CryptoError::InvalidCiphertext
+                );
+            }
+        }
     }
 
     #[test]

@@ -282,8 +282,8 @@ struct Completion {
     request: u64,
     platform: usize,
     completed_ns: u64,
-    /// Wire quote bytes, or the typed reason there are none.
-    wire: Result<Vec<u8>, MissingKind>,
+    /// The session's quote, or the typed reason there is none.
+    quote: Result<Quote, MissingKind>,
     nonce: Vec<u8>,
 }
 
@@ -323,13 +323,13 @@ fn run_platform(
 
     let mut cpu_busy = vec![SimDuration::ZERO; workers];
     out.sessions
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(job, session)| {
             let cpu = job % workers;
             cpu_busy[cpu] += session.cost();
-            let wire = match session {
-                SessionResult::Quoted { quote, .. } => Ok(quote.to_bytes()),
+            let quote = match session {
+                SessionResult::Quoted { quote, .. } => Ok(quote),
                 SessionResult::Degraded { .. } => Err(MissingKind::Degraded),
                 SessionResult::Killed { .. } => Err(MissingKind::Killed),
                 _ => Err(MissingKind::Unknown),
@@ -338,7 +338,7 @@ fn run_platform(
                 request: requests[job],
                 platform,
                 completed_ns: cpu_busy[cpu].as_ns(),
-                wire,
+                quote,
                 nonce: (job as u64).to_le_bytes().to_vec(),
             }
         })
@@ -372,7 +372,7 @@ struct Life {
     platform: usize,
     completed_ns: u64,
     nonce0: Vec<u8>,
-    wire0: Result<Vec<u8>, MissingKind>,
+    quote0: Result<Quote, MissingKind>,
     /// Attempts sent so far.
     attempts: u32,
     /// The attempt the client currently waits on (0-based).
@@ -528,7 +528,7 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                 platform: c.platform,
                 completed_ns: c.completed_ns,
                 nonce0: c.nonce,
-                wire0: c.wire,
+                quote0: c.quote,
                 attempts: 0,
                 current: 0,
                 last_send_ns: 0,
@@ -558,7 +558,7 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
         let attempt = life.current;
         life.attempts += 1;
         life.last_send_ns = send;
-        match &life.wire0 {
+        match &life.quote0 {
             Err(kind) => {
                 // A failed session has nothing to transmit; the report
                 // is a control-plane message, delivered exactly once.
@@ -571,18 +571,17 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                     },
                 );
             }
-            Ok(bytes) => {
+            Ok(quote) => {
                 let nonce = attempt_nonce(&life.nonce0, attempt);
                 verifier.challenge(life.platform as u64, &nonce, send);
                 let wire = if attempt == 0 {
-                    bytes.clone()
+                    quote.to_bytes()
                 } else {
                     let aik = vault.aik_generation(
                         life.platform,
                         generation_at(&cfg.churn, life.platform, send),
                     );
-                    Quote::from_bytes(bytes)
-                        .expect("own wire parses")
+                    quote
                         .reissue(&nonce, &aik)
                         .expect("vault key signs")
                         .to_bytes()
@@ -623,8 +622,7 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                                     life.platform,
                                     generation_at(&cfg.churn, life.platform, at),
                                 );
-                                let wire = Quote::from_bytes(bytes)
-                                    .expect("own wire parses")
+                                let wire = quote
                                     .reissue(&stale, &aik)
                                     .expect("vault key signs")
                                     .to_bytes();
@@ -639,7 +637,7 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                                 );
                             }
                             AdversaryKind::BitFlip => {
-                                let mut flipped = bytes.clone();
+                                let mut flipped = quote.to_bytes();
                                 let bit = cfg.churn.bitflip_bit(request, flipped.len() * 8);
                                 flipped[bit / 8] ^= 1 << (bit % 8);
                                 queue.schedule(
@@ -654,8 +652,7 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                             }
                             AdversaryKind::ForgedCert => {
                                 let rogue = vault.aik_generation(life.platform, ROGUE_GENERATION);
-                                let wire = Quote::from_bytes(bytes)
-                                    .expect("own wire parses")
+                                let wire = quote
                                     .reissue(&marker_nonce(&life.nonce0, FORGE_MARKER), &rogue)
                                     .expect("rogue key signs")
                                     .to_bytes();
@@ -688,7 +685,7 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
     // each request's client lifecycle to a typed fate.
     let mut requests = Vec::with_capacity(cfg.requests);
     let mut adversarial = Vec::new();
-    let mut busy_until = 0u64;
+    let mut verifier_free_ns = 0u64;
     let resolve = |life: &mut Life,
                    requests: &mut Vec<RequestOutcome>,
                    request: u64,
@@ -702,7 +699,7 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
             verified_ns: settled_ns,
             latency_ns: settled_ns.saturating_sub(life.completed_ns),
             ticket_hit: life.last_ticket_hit,
-            wire: life.wire0.as_ref().ok().cloned(),
+            wire: life.quote0.as_ref().ok().map(Quote::to_bytes),
             verdict: life.last_verdict.clone(),
             fate,
             attempts: life.attempts,
@@ -714,12 +711,12 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                 let r = event.id;
                 let life = &mut lives[r as usize];
                 let arrival = event.at.as_ns();
-                let start = busy_until.max(arrival);
+                let start = verifier_free_ns.max(arrival);
                 let verdict = match &wire {
                     Err(kind) => verifier.reject_missing(life.platform as u64, *kind),
                     Ok(bytes) => verifier.verify(life.platform as u64, bytes, start),
                 };
-                busy_until = start + verdict.cost_ns;
+                verifier_free_ns = start + verdict.cost_ns;
                 // Late or duplicate wires (an abandoned attempt, or a
                 // second copy after the first resolved) count at the
                 // verifier but never re-resolve the request's fate.
@@ -737,11 +734,11 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                         } else {
                             RequestFate::Verified
                         };
-                        resolve(life, &mut requests, r, fate, busy_until);
+                        resolve(life, &mut requests, r, fate, verifier_free_ns);
                         if life.wants_replay {
                             if let Ok(bytes) = &wire {
                                 queue.schedule(
-                                    SimTime::from_ns(busy_until + NETWORK_RTT_NS),
+                                    SimTime::from_ns(verifier_free_ns + NETWORK_RTT_NS),
                                     adversary_id(r, 0),
                                     Ev::Adversary {
                                         request: r,
@@ -758,11 +755,17 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
                     {
                         life.current += 1;
                         let backoff = cfg.lifecycle.backoff_ns(life.current);
-                        let at = busy_until + NETWORK_RTT_NS + backoff;
+                        let at = verifier_free_ns + NETWORK_RTT_NS + backoff;
                         dispatch_attempt(&mut queue, &mut verifier, life, r, at);
                     }
                     Err(_) => {
-                        resolve(life, &mut requests, r, RequestFate::Rejected, busy_until);
+                        resolve(
+                            life,
+                            &mut requests,
+                            r,
+                            RequestFate::Rejected,
+                            verifier_free_ns,
+                        );
                     }
                 }
             }
@@ -796,14 +799,14 @@ pub fn run_fleet_with_submission(cfg: &FleetConfig, submission: &[u64], obs: Obs
             } => {
                 let platform = lives[request as usize].platform;
                 let arrival = event.at.as_ns();
-                let start = busy_until.max(arrival);
+                let start = verifier_free_ns.max(arrival);
                 let verdict = verifier.verify(platform as u64, &wire, start);
-                busy_until = start + verdict.cost_ns;
+                verifier_free_ns = start + verdict.cost_ns;
                 adversarial.push(AdversaryOutcome {
                     request,
                     platform,
                     kind,
-                    verified_ns: busy_until,
+                    verified_ns: verifier_free_ns,
                     verdict: verdict.result,
                 });
             }

@@ -5,7 +5,7 @@
 //! Intel's Memory Protection Table (MPT) are bit vectors that block *DMA*
 //! to selected pages — they do nothing about other CPUs.
 //!
-//! Proposed hardware (§5.2): "the memory controller maintain[s] an access
+//! Proposed hardware (§5.2): "the memory controller maintain\[s\] an access
 //! control table with one entry per physical page, where each entry
 //! specifies which CPUs (if any) have access to the physical page."
 //! Entries move through the Figure 5(b) state machine:

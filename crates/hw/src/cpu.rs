@@ -7,7 +7,7 @@
 //! state", §4.2). It also carries the *proposed* PAL preemption timer
 //! (§5.3.1) that lets the untrusted OS bound a PAL's execution time.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::types::{CpuId, PhysAddr};
 
 /// What a CPU core is currently doing.
@@ -49,8 +49,6 @@ pub struct Cpu {
     interrupts_enabled: bool,
     /// Proposed hardware: OS-configured bound on PAL execution (§5.3.1).
     preemption_timer: Option<SimDuration>,
-    /// Scheduler bookkeeping: this core is occupied until this instant.
-    busy_until: SimTime,
 }
 
 impl Cpu {
@@ -67,7 +65,6 @@ impl Cpu {
             state: CpuExecState::Normal,
             interrupts_enabled: true,
             preemption_timer: None,
-            busy_until: SimTime::ZERO,
         }
     }
 
@@ -105,18 +102,6 @@ impl Cpu {
     /// `None` disables preemption (legacy behaviour).
     pub fn set_preemption_timer(&mut self, limit: Option<SimDuration>) {
         self.preemption_timer = limit;
-    }
-
-    /// The instant until which the scheduler considers this core busy.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Marks the core busy until `t` (monotonic: never moves backwards).
-    pub fn occupy_until(&mut self, t: SimTime) {
-        if t > self.busy_until {
-            self.busy_until = t;
-        }
     }
 
     /// Enters protected execution: models the CPU-state reinitialization
@@ -196,14 +181,6 @@ mod tests {
         cpu.enter_secure(PhysAddr(0));
         cpu.wake();
         assert!(cpu.in_secure_exec());
-    }
-
-    #[test]
-    fn busy_until_is_monotonic() {
-        let mut cpu = Cpu::new(CpuId(0), 2.2);
-        cpu.occupy_until(SimTime::from_ns(100));
-        cpu.occupy_until(SimTime::from_ns(50));
-        assert_eq!(cpu.busy_until(), SimTime::from_ns(100));
     }
 
     #[test]

@@ -122,22 +122,6 @@ impl<T: Eq> EventQueue<T> {
         Some(ev)
     }
 
-    /// Due time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// `(time, id)` of the next event without removing it.
-    ///
-    /// Fleet-level routing uses this to merge many platform timelines
-    /// into one deterministic arrival order: each platform's completion
-    /// events are scheduled here, and whichever `(time, id)` is at the
-    /// head is the next request the verifier sees — independent of the
-    /// order the platforms were simulated in.
-    pub fn peek(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.at, e.id))
-    }
-
     /// The queue's current virtual time: the due time of the last event
     /// popped ([`SimTime::ZERO`] before the first pop).
     pub fn now(&self) -> SimTime {
@@ -153,15 +137,6 @@ impl<T: Eq> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drains the queue in firing order (consumes all pending events).
-    pub fn drain_ordered(&mut self) -> Vec<Event<T>> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +151,7 @@ mod tests {
         q.schedule(SimTime::from_ns(5), 2, "t5-id2-first");
         q.schedule(SimTime::from_ns(1), 40, "t1");
         q.schedule(SimTime::from_ns(5), 2, "t5-id2-second");
-        let fired: Vec<&str> = q.drain_ordered().into_iter().map(|e| e.payload).collect();
+        let fired: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(fired, ["t1", "t5-id2-first", "t5-id2-second", "t5-id9"]);
     }
 
@@ -193,11 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn pop_returns_the_scheduled_event() {
         let mut q = EventQueue::new();
         let t = SimTime::ZERO + SimDuration::from_us(7);
         q.schedule(t, 3, 'a');
-        assert_eq!(q.peek_time(), Some(t));
         assert_eq!(q.len(), 1);
         let e = q.pop().unwrap();
         assert_eq!((e.at, e.id, e.payload), (t, 3, 'a'));

@@ -74,7 +74,7 @@ pub use obs::{
 };
 pub use platform::{CpuVendor, LateLaunchModel, Platform, TpmKind, VirtTiming};
 pub use reset::{ResetPlan, RESET_REBOOT_COST};
-pub use time::{CpuClockDomain, SharedClock, SimClock, SimDuration, SimTime};
+pub use time::{SimClock, SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};
 pub use types::{
     AccessKind, CpuId, CpuMask, DeviceId, PageIndex, PageRange, PhysAddr, Requester, MAX_CPUS,

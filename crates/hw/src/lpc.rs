@@ -61,13 +61,6 @@ impl LpcBus {
     pub fn transfer_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_ns_f64(bytes as f64 * self.ns_per_byte)
     }
-
-    /// A bus `factor`× faster than this one (used by the §5.7 "just speed
-    /// up the TPM and bus" ablation).
-    pub fn sped_up(&self, factor: f64) -> Self {
-        assert!(factor > 0.0, "speed-up factor must be positive");
-        LpcBus::new(self.ns_per_byte / factor)
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +82,6 @@ mod tests {
             bus.transfer_time(2000).as_ns(),
             2 * bus.transfer_time(1000).as_ns()
         );
-    }
-
-    #[test]
-    fn sped_up_divides_cost() {
-        let bus = LpcBus::new(100.0);
-        let fast = bus.sped_up(10.0);
-        assert!((fast.ns_per_byte() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -224,11 +224,6 @@ impl Machine {
         &self.lpc
     }
 
-    /// Replaces the LPC bus model (used by the bus speed-up ablation).
-    pub fn set_lpc(&mut self, bus: LpcBus) {
-        self.lpc = bus;
-    }
-
     /// The installed DMA-capable devices.
     pub fn devices(&self) -> &[Device] {
         &self.devices
@@ -533,13 +528,6 @@ mod tests {
         assert_eq!(m.now(), SimTime::from_ns(2_000_000));
     }
 
-    #[test]
-    fn lpc_replaceable() {
-        let mut m = machine();
-        let orig = m.lpc().ns_per_byte();
-        m.set_lpc(m.lpc().sped_up(2.0));
-        assert!((m.lpc().ns_per_byte() - orig / 2.0).abs() < 1e-9);
-    }
     #[test]
     fn reset_rebuilds_volatile_half_only() {
         let mut m = machine();

@@ -21,16 +21,16 @@ use std::fmt;
 use crate::fault::{XorShift, RATE_DENOM};
 use crate::time::SimDuration;
 
-/// Default spread of an injected long delay: the extra latency rolled
-/// for a *delayed* wire is uniform in `1..=spread`.
+/// Spread of an injected long delay: the extra latency rolled for a
+/// *delayed* wire is uniform in `1..=spread`.
 pub const NET_DELAY_SPREAD: SimDuration = SimDuration::from_us(500);
 
-/// Default reorder window: a *reordered* wire picks up a small extra
+/// Reorder window: a *reordered* wire picks up a small extra
 /// latency in `1..=window`, enough to land behind its successors
 /// without looking like a routing anomaly.
 pub const NET_REORDER_WINDOW: SimDuration = SimDuration::from_us(60);
 
-/// Default gap between the two copies of a duplicated wire.
+/// Gap between the two copies of a duplicated wire.
 pub const NET_DUPLICATE_GAP: SimDuration = SimDuration::from_us(40);
 
 /// What the network decided to do with one transmitted wire. Purely
@@ -83,9 +83,6 @@ pub struct NetPlan {
     delay_rate: u32,
     dup_rate: u32,
     reorder_rate: u32,
-    delay_spread_ns: u64,
-    reorder_window_ns: u64,
-    duplicate_gap_ns: u64,
 }
 
 impl NetPlan {
@@ -98,15 +95,7 @@ impl NetPlan {
             delay_rate: 0,
             dup_rate: 0,
             reorder_rate: 0,
-            delay_spread_ns: NET_DELAY_SPREAD.as_ns(),
-            reorder_window_ns: NET_REORDER_WINDOW.as_ns(),
-            duplicate_gap_ns: NET_DUPLICATE_GAP.as_ns(),
         }
-    }
-
-    /// The canonical perfect network.
-    pub fn lossless() -> Self {
-        NetPlan::new(0)
     }
 
     /// Sets the drop rate (parts per [`RATE_DENOM`], clamped).
@@ -134,14 +123,6 @@ impl NetPlan {
     #[must_use]
     pub fn with_reorder_rate(mut self, rate: u32) -> Self {
         self.reorder_rate = rate.min(RATE_DENOM);
-        self
-    }
-
-    /// Sets the spread of injected long delays (extra latency is
-    /// uniform in `1..=spread`).
-    #[must_use]
-    pub fn with_delay_spread(mut self, spread: SimDuration) -> Self {
-        self.delay_spread_ns = spread.as_ns().max(1);
         self
     }
 
@@ -180,18 +161,18 @@ impl NetPlan {
         let mut faults = Vec::new();
         if let Some(mut x) = self.rate_hit(SITE_NET_DELAY, key, seq, self.delay_rate) {
             faults.push(NetFault::Delayed(
-                1 + x.next_u64() % self.delay_spread_ns.max(1),
+                1 + x.next_u64() % NET_DELAY_SPREAD.as_ns(),
             ));
         } else if let Some(mut x) = self.rate_hit(SITE_NET_ORD, key, seq, self.reorder_rate) {
             faults.push(NetFault::Reordered(
-                1 + x.next_u64() % self.reorder_window_ns.max(1),
+                1 + x.next_u64() % NET_REORDER_WINDOW.as_ns(),
             ));
         }
         if self
             .rate_hit(SITE_NET_DUP, key, seq, self.dup_rate)
             .is_some()
         {
-            faults.push(NetFault::Duplicated(self.duplicate_gap_ns));
+            faults.push(NetFault::Duplicated(NET_DUPLICATE_GAP.as_ns()));
         }
         faults
     }
@@ -224,7 +205,7 @@ mod tests {
 
     #[test]
     fn lossless_delivers_exactly_once_on_time() {
-        let plan = NetPlan::lossless();
+        let plan = NetPlan::new(0);
         assert!(plan.is_lossless());
         for seq in 0..64u64 {
             assert_eq!(plan.deliveries(9, seq), vec![0]);
@@ -269,10 +250,8 @@ mod tests {
 
     #[test]
     fn delay_is_bounded_by_spread_and_nonzero() {
-        let spread = SimDuration::from_us(10);
-        let plan = NetPlan::new(11)
-            .with_delay_rate(RATE_DENOM)
-            .with_delay_spread(spread);
+        let spread = NET_DELAY_SPREAD;
+        let plan = NetPlan::new(11).with_delay_rate(RATE_DENOM);
         let mut seen = std::collections::BTreeSet::new();
         for seq in 0..256u64 {
             let copies = plan.deliveries(2, seq);

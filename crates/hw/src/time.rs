@@ -9,8 +9,6 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A duration of virtual time, in nanoseconds.
 ///
@@ -242,143 +240,6 @@ impl SimClock {
     }
 }
 
-/// A thread-safe monotonic virtual clock, shared across worker threads
-/// of the concurrent session engine.
-///
-/// Two operations mirror [`SimClock`]'s: [`SharedClock::advance`]
-/// (atomic add — total advancement is the *sum* of all contributions,
-/// so it commutes and the final reading is independent of thread
-/// interleaving) and [`SharedClock::advance_to`] (atomic max — joins an
-/// independent per-CPU timeline back into the global one).
-///
-/// # Example
-///
-/// ```
-/// use sea_hw::{SharedClock, SimDuration};
-/// use std::sync::Arc;
-///
-/// let clock = Arc::new(SharedClock::new());
-/// let handles: Vec<_> = (0..4)
-///     .map(|_| {
-///         let c = Arc::clone(&clock);
-///         std::thread::spawn(move || c.advance(SimDuration::from_us(10)))
-///     })
-///     .collect();
-/// for h in handles {
-///     h.join().unwrap();
-/// }
-/// // Sum-commutativity: 4 × 10 µs regardless of interleaving.
-/// assert_eq!(clock.now().as_ns(), 40_000);
-/// ```
-#[derive(Debug, Default)]
-pub struct SharedClock {
-    now_ns: AtomicU64,
-}
-
-impl SharedClock {
-    /// Creates a shared clock at the simulation epoch.
-    pub fn new() -> Self {
-        SharedClock {
-            now_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a shared clock already advanced to `t` (e.g. resuming
-    /// from a serial [`SimClock`]'s reading).
-    pub fn at(t: SimTime) -> Self {
-        SharedClock {
-            now_ns: AtomicU64::new(t.as_ns()),
-        }
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_ns(self.now_ns.load(Ordering::SeqCst))
-    }
-
-    /// Atomically advances virtual time by `d`, returning the instant
-    /// *after* the advance.
-    pub fn advance(&self, d: SimDuration) -> SimTime {
-        let prev = self.now_ns.fetch_add(d.as_ns(), Ordering::SeqCst);
-        SimTime::from_ns(prev + d.as_ns())
-    }
-
-    /// Atomically advances the clock to `t` if `t` is in the future
-    /// (atomic max); a reading earlier than the current time is a
-    /// no-op. Returns the clock's time after the join.
-    pub fn advance_to(&self, t: SimTime) -> SimTime {
-        let prev = self.now_ns.fetch_max(t.as_ns(), Ordering::SeqCst);
-        SimTime::from_ns(prev.max(t.as_ns()))
-    }
-}
-
-/// A per-CPU clock domain over a [`SharedClock`].
-///
-/// Worker threads accumulate their CPU's busy time *locally* (no atomic
-/// traffic per operation) and fold the domain's timeline into the
-/// shared clock only at join points, exactly like the serial
-/// scheduler's `advance_to` joins. The domain's own reading is
-/// `start + local`, so a domain is deterministic given its sequence of
-/// [`CpuClockDomain::advance`] calls regardless of what other domains
-/// are doing.
-#[derive(Debug)]
-pub struct CpuClockDomain {
-    shared: Arc<SharedClock>,
-    start: SimTime,
-    local: SimDuration,
-}
-
-impl CpuClockDomain {
-    /// Opens a domain starting at the shared clock's current instant.
-    ///
-    /// Note that sibling worker threads must NOT each call this: the
-    /// shared clock may already have been advanced by a faster sibling's
-    /// publish, skewing this domain's epoch by however far that sibling
-    /// got. Batch drivers should read the clock once and open every
-    /// domain with [`CpuClockDomain::at`].
-    pub fn new(shared: Arc<SharedClock>) -> Self {
-        let start = shared.now();
-        CpuClockDomain {
-            shared,
-            start,
-            local: SimDuration::ZERO,
-        }
-    }
-
-    /// Opens a domain anchored at a fixed instant `start` — typically a
-    /// batch's start time, read from the shared clock *before* spawning
-    /// workers — so sibling domains share an epoch regardless of thread
-    /// scheduling.
-    pub fn at(shared: Arc<SharedClock>, start: SimTime) -> Self {
-        CpuClockDomain {
-            shared,
-            start,
-            local: SimDuration::ZERO,
-        }
-    }
-
-    /// Advances this domain's local timeline by `d`.
-    pub fn advance(&mut self, d: SimDuration) {
-        self.local += d;
-    }
-
-    /// The domain's current instant (`start + local busy time`).
-    pub fn now(&self) -> SimTime {
-        self.start + self.local
-    }
-
-    /// Busy time accumulated since the domain was opened.
-    pub fn busy(&self) -> SimDuration {
-        self.local
-    }
-
-    /// Folds this domain's timeline into the shared clock (atomic max)
-    /// and returns the shared clock's time after the join.
-    pub fn publish(&self) -> SimTime {
-        self.shared.advance_to(self.now())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,76 +306,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_clock_advance_is_sum_commutative() {
-        let clock = Arc::new(SharedClock::new());
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let c = Arc::clone(&clock);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        c.advance(SimDuration::from_ns(i + 1));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // sum(1..=8) * 100 — independent of interleaving.
-        assert_eq!(clock.now().as_ns(), 3600);
-    }
-
-    #[test]
-    fn shared_clock_advance_to_is_max() {
-        let clock = SharedClock::at(SimTime::from_ns(50));
-        assert_eq!(clock.advance_to(SimTime::from_ns(20)).as_ns(), 50);
-        assert_eq!(clock.advance_to(SimTime::from_ns(80)).as_ns(), 80);
-        assert_eq!(clock.now().as_ns(), 80);
-    }
-
-    #[test]
-    fn clock_domain_folds_in_at_publish() {
-        let shared = Arc::new(SharedClock::at(SimTime::from_ns(100)));
-        let mut a = CpuClockDomain::new(Arc::clone(&shared));
-        let mut b = CpuClockDomain::new(Arc::clone(&shared));
-        a.advance(SimDuration::from_ns(30));
-        b.advance(SimDuration::from_ns(70));
-        assert_eq!(a.now().as_ns(), 130);
-        assert_eq!(a.busy(), SimDuration::from_ns(30));
-        // Publishing in either order lands on max(130, 170).
-        a.publish();
-        assert_eq!(shared.now().as_ns(), 130);
-        b.publish();
-        assert_eq!(shared.now().as_ns(), 170);
-        // Re-publishing the earlier domain is a no-op.
-        a.publish();
-        assert_eq!(shared.now().as_ns(), 170);
-    }
-
-    #[test]
-    fn anchored_domain_ignores_sibling_publishes() {
-        let shared = Arc::new(SharedClock::at(SimTime::from_ns(100)));
-        let epoch = shared.now();
-        let mut a = CpuClockDomain::at(Arc::clone(&shared), epoch);
-        a.advance(SimDuration::from_ns(40));
-        a.publish();
-        assert_eq!(shared.now().as_ns(), 140);
-        // A sibling opened *after* a's publish still anchors at the
-        // batch epoch, not at a's advanced reading — so its final
-        // publish is epoch + its own busy time, never skewed by how far
-        // a happened to have gotten first.
-        let mut b = CpuClockDomain::at(Arc::clone(&shared), epoch);
-        b.advance(SimDuration::from_ns(25));
-        assert_eq!(b.now().as_ns(), 125);
-        b.publish();
-        assert_eq!(shared.now().as_ns(), 140);
-    }
-
-    #[test]
-    fn shared_types_are_send_sync() {
+    fn clock_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedClock>();
-        assert_send_sync::<CpuClockDomain>();
         assert_send_sync::<SimClock>();
     }
 }

@@ -174,7 +174,6 @@ const DEFAULT_CAPACITY: usize = 4096;
 pub struct Trace {
     events: VecDeque<(SimTime, TraceEvent)>,
     capacity: usize,
-    enabled: bool,
     dropped: u64,
     recorded: u64,
 }
@@ -186,12 +185,12 @@ impl Default for Trace {
 }
 
 impl Trace {
-    /// Creates an enabled trace with the default capacity.
+    /// Creates a trace with the default capacity.
     pub fn new() -> Self {
         Trace::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// Creates an enabled trace holding at most `capacity` events; older
+    /// Creates a trace holding at most `capacity` events; older
     /// events are dropped (and counted) once full.
     ///
     /// # Panics
@@ -202,27 +201,13 @@ impl Trace {
         Trace {
             events: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            enabled: true,
             dropped: 0,
             recorded: 0,
         }
     }
 
-    /// Enables or disables recording (disabled recording is free).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records `event` at virtual time `at`.
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -315,15 +300,6 @@ mod tests {
         // Oldest survivors are the last two.
         let kept: Vec<String> = t.iter().map(|(_, e)| e.to_string()).collect();
         assert_eq!(kept, vec!["NOTE 3", "NOTE 4"]);
-    }
-
-    #[test]
-    fn disabled_recording_is_a_noop() {
-        let mut t = Trace::new();
-        t.set_enabled(false);
-        assert!(!t.is_enabled());
-        t.record(SimTime::ZERO, note("ignored"));
-        assert!(t.is_empty());
     }
 
     #[test]

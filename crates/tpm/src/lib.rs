@@ -21,10 +21,10 @@
 //!   with the Free → Exclusive → Quote → Free life cycle, owner
 //!   enforcement, `SKILL` constant-extension, and sePCR-bound
 //!   seal/unseal/quote.
-//! * [`TpmLock`] — the proposed hardware arbitration for multi-CPU TPM
-//!   access (§5.4.5), and [`ShardedTpmArbiter`], its virtual-time form
-//!   with one request line per CPU, which grants in `(request time,
-//!   CPU id)` order and is the TPM gate of the discrete-event executor.
+//! * [`ShardedTpmArbiter`] — the proposed hardware arbitration for
+//!   multi-CPU TPM access (§5.4.5) as a virtual-time gate with one
+//!   request line per CPU, which grants in `(request time, CPU id)`
+//!   order and is the TPM gate of the discrete-event executor.
 //!
 //! Every command returns a [`Timed`] result carrying the virtual-time
 //! cost, which callers add to their [`sea_hw::SimClock`].
@@ -64,7 +64,7 @@ mod transport;
 
 pub use boot::{BootEvent, EventLog, SecureBootOutcome, SecureBootPolicy};
 pub use error::TpmError;
-pub use lock::{EventOrderedTpmLock, ShardedTpmArbiter, TpmGrant, TpmLock};
+pub use lock::{ShardedTpmArbiter, TpmGrant};
 pub use nvram::Nvram;
 pub use pcr::{PcrBank, PcrIndex, PcrValue, DYNAMIC_PCR_FIRST, DYNAMIC_PCR_LAST, NUM_PCRS};
 pub use quote::{Quote, QuoteSource, WireQuote, WIRE_QUOTE_MAGIC, WIRE_QUOTE_VERSION};

@@ -9,7 +9,6 @@ use sea_crypto::{Drbg, RsaPrivateKey, RsaPublicKey, Sha1, Sha1Digest};
 use sea_hw::{CpuId, Layer, Obs, SimDuration, TpmKind};
 
 use crate::error::TpmError;
-use crate::lock::TpmLock;
 use crate::nvram::Nvram;
 use crate::pcr::{PcrBank, PcrIndex, PcrValue};
 use crate::quote::{quote_digest, Quote, QuoteSource, WireQuote};
@@ -99,7 +98,6 @@ pub struct Tpm {
     noise: Drbg,
     timing: TpmTimingModel,
     nominal_timing: bool,
-    lock: TpmLock,
     hash_session: Option<HashSession>,
     armed_fault: Option<bool>,
     nvram: Nvram,
@@ -133,7 +131,6 @@ impl Tpm {
             noise: Drbg::new(&[seed, b"/noise"].concat()),
             timing: TpmTimingModel::for_kind(kind),
             nominal_timing: false,
-            lock: TpmLock::new(),
             hash_session: None,
             armed_fault: None,
             nvram: Nvram::new(seed),
@@ -171,7 +168,6 @@ impl Tpm {
             noise: Drbg::new(&[seed, b"/noise"].concat()),
             timing: TpmTimingModel::for_kind(kind),
             nominal_timing: false,
-            lock: TpmLock::new(),
             hash_session: None,
             armed_fault: None,
             nvram: Nvram::new(seed),
@@ -261,14 +257,9 @@ impl Tpm {
         &self.sepcrs
     }
 
-    /// The hardware TPM lock (§5.4.5).
-    pub fn lock_mut(&mut self) -> &mut TpmLock {
-        &mut self.lock
-    }
-
     /// Applies power-cycle semantics: static PCRs to zero, dynamic PCRs
     /// to −1, every sePCR back to Free with a zero chain, hash session
-    /// dropped, the TPM lock released, pending injected faults cleared
+    /// dropped, pending injected faults cleared
     /// (a reboot un-wedges the chip). The NVRAM half — keys, monotonic
     /// counters, stored blobs — survives untouched; sealed blobs remain
     /// unsealable exactly when their PCR bindings are re-established.
@@ -276,7 +267,6 @@ impl Tpm {
         self.pcrs.reboot();
         self.sepcrs.platform_reset();
         self.hash_session = None;
-        self.lock = TpmLock::new();
         self.armed_fault = None;
     }
 
@@ -890,13 +880,11 @@ mod tests {
     }
 
     #[test]
-    fn reboot_clears_hash_session_and_lock() {
+    fn reboot_clears_hash_session() {
         let mut t = tpm();
         t.hash_start(Locality::Cpu).unwrap();
-        t.lock_mut().acquire(CpuId(1)).unwrap();
         t.reboot();
         assert_eq!(t.hash_data(b"x").unwrap_err(), TpmError::NoHashSession);
-        assert_eq!(t.lock_mut().holder(), None);
     }
 
     #[test]

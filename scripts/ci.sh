@@ -18,8 +18,8 @@ cargo clippy --workspace --offline --all-targets -- -D warnings
 echo "== cargo build --release (offline) =="
 cargo build --release --workspace --offline
 
-echo "== cargo doc (offline, warnings are errors) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
+echo "== cargo doc, private items included (offline, warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet --document-private-items
 
 echo "== cargo test (offline) =="
 cargo test -q --workspace --offline

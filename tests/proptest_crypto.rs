@@ -332,13 +332,20 @@ fn untrusted_public_keys_verify_and_encrypt_without_panicking() {
     // Public keys arrive from untrusted bytes (AIK certificates, the CA
     // PAL's output). Whatever `from_bytes` accepts — moduli too short
     // for a PKCS#1 v1.5 encoding or OAEP included — must give a verdict
-    // or a typed error, never a panic.
+    // or a typed error, never a panic, and must be the key's one
+    // canonical encoding: it re-encodes to exactly the input bytes.
     check(
         "untrusted_public_keys_verify_and_encrypt_without_panicking",
         CASES,
         |t| {
-            let n = t.bytes(0, 80);
-            let e = t.bytes(0, 5);
+            let mut n = t.bytes(0, 80);
+            let mut e = t.bytes(0, 5);
+            // Sometimes write a field non-canonically, zero-prefixed.
+            match t.range(0, 4) {
+                0 => n.insert(0, 0),
+                1 => e.insert(0, 0),
+                _ => {}
+            }
             let mut encoded = Vec::new();
             for part in [&n, &e] {
                 encoded.extend_from_slice(&(part.len() as u32).to_be_bytes());
@@ -347,6 +354,7 @@ fn untrusted_public_keys_verify_and_encrypt_without_panicking() {
             let Ok(key) = RsaPublicKey::from_bytes(&encoded) else {
                 return Ok(());
             };
+            prop_assert_eq!(key.to_bytes(), encoded);
             let k = key.modulus_len();
             let digest = Sha1::digest(&t.bytes(0, 16));
             let sig = Signature((0..k).map(|_| t.byte()).collect());

@@ -8,10 +8,10 @@ use minimal_tcb::core::{
 };
 use minimal_tcb::crypto::Sha1;
 use minimal_tcb::hw::{
-    CpuId, CpuVendor, DeviceId, HwError, Machine, PageRange, Platform, Requester,
+    CpuId, CpuVendor, DeviceId, HwError, Machine, PageRange, Platform, Requester, SimTime,
 };
 use minimal_tcb::os::{Adversary, AttackOutcome};
-use minimal_tcb::tpm::{KeyStrength, Locality, PcrIndex, Quote, TpmError};
+use minimal_tcb::tpm::{KeyStrength, Locality, PcrIndex, Quote, ShardedTpmArbiter, TpmError};
 
 fn enhanced_with_nic(seed: &[u8]) -> EnhancedSea {
     let platform = Platform::recommended(2);
@@ -376,13 +376,17 @@ fn toctou_footnote3_load_time_attestation_limit() {
 
 #[test]
 fn tpm_lock_serializes_multi_cpu_access() {
-    let mut sp = SecurePlatform::new(Platform::recommended(2), KeyStrength::Demo512, b"lock");
-    let lock = sp.tpm_mut().unwrap().lock_mut();
-    lock.acquire(CpuId(0)).unwrap();
+    // The §5.4.5 hardware arbiter: one CPU holds the TPM at a time, a
+    // contending CPU waits for the holder's release.
+    let mut arbiter = ShardedTpmArbiter::new();
+    arbiter.request(SimTime::ZERO, CpuId(0));
+    assert_eq!(arbiter.grant().map(|g| g.cpu), Some(CpuId(0)));
+    arbiter.request(SimTime::from_ns(5), CpuId(1));
+    assert_eq!(arbiter.grant(), None);
     assert_eq!(
-        lock.acquire(CpuId(1)).unwrap_err(),
+        arbiter.release(CpuId(1)).unwrap_err(),
         TpmError::LockHeld { holder: CpuId(0) }
     );
-    lock.release(CpuId(0)).unwrap();
-    lock.acquire(CpuId(1)).unwrap();
+    arbiter.release(CpuId(0)).unwrap();
+    assert_eq!(arbiter.grant().map(|g| g.cpu), Some(CpuId(1)));
 }
