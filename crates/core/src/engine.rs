@@ -1,15 +1,13 @@
-//! The unified session engine: one generic lifecycle over pluggable
-//! architectures, with batch behavior composed from policy objects.
+//! The unified session engine: the recommended `SLAUNCH`/sePCR session
+//! lifecycle (§5, Figure 6), with batch behavior composed from policy
+//! objects. This module encodes the lifecycle in the type system:
 //!
-//! The paper's central claim (§5) is that legacy `SKINIT`/`SENTER`
-//! sessions and the recommended `SLAUNCH`/sePCR sessions are the *same
-//! lifecycle* realised on different hardware primitives. This module
-//! encodes that claim in the type system:
-//!
-//! * [`Architecture`] is the pluggable hardware binding — [`Skinit`]
-//!   (today's hardware: full teardown + `TPM_Seal`/`Unseal` per
-//!   invocation, one session at a time) and [`Slaunch`] (the proposed
-//!   hardware: `SYIELD`/resume, sePCR-bound quotes, `SKILL`).
+//! * [`Architecture`] is the hardware binding the lifecycle runs on.
+//!   [`Slaunch`] (the proposed hardware: `SYIELD`/resume, sePCR-bound
+//!   quotes, `SKILL`) is its one implementation; legacy `SKINIT`
+//!   sessions run through [`LegacySea`](crate::LegacySea) and
+//!   `sea_os::LegacyBatch` instead. The trait and the engine's type
+//!   parameter remain because callers name `SessionEngine<Slaunch>`.
 //! * [`Session`] is a typestate handle walking `Launched → Stepping →
 //!   Sealed`; the terminal outcomes (`Quoted`/`Killed`/`Degraded`) are
 //!   the [`SessionResult`] variants. Illegal transitions (resuming an
@@ -60,16 +58,13 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use sea_hw::{
-    CpuId, FaultPlan, Layer, Obs, ResetPlan, SimDuration, SimTime, TraceEvent, PLATFORM_TRACK,
-};
+use sea_hw::{CpuId, FaultPlan, Layer, Obs, ResetPlan, SimDuration, TraceEvent, PLATFORM_TRACK};
 use sea_tpm::{Quote, SealedBlob, Timed};
 
 use crate::driver::SessionDriver;
 use crate::enhanced::{EnhancedSea, PalId, PalStep};
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
-use crate::legacy::LegacySea;
 use crate::locks::{lock, LockRank, OrderedLock};
 use crate::pal::PalLogic;
 use crate::platform::SecurePlatform;
@@ -278,11 +273,12 @@ impl SessionTally {
 
 /// A hardware binding for the unified session lifecycle.
 ///
-/// The engine drives every architecture through the same sequence —
-/// launch, step/resume to exit, report, quote — and the architecture
-/// maps each step onto its primitives. Operations take the runtime
-/// behind an [`OrderedLock`] and lock it **per operation**, so concurrent
-/// sessions genuinely interleave on a shared runtime.
+/// The engine drives the lifecycle through the same sequence — launch,
+/// step/resume to exit, report, quote — and the architecture maps each
+/// step onto its primitives; [`Slaunch`] is the one implementation.
+/// Operations take the runtime behind an [`OrderedLock`] and lock it
+/// **per operation**, so concurrent sessions genuinely interleave on a
+/// shared runtime.
 ///
 /// `key` is `Some` when the recovery layer drives the session (keyed
 /// operations roll injected faults and pin obs tracks) and `None` on
@@ -293,20 +289,10 @@ pub trait Architecture: Send + Sync + 'static {
     /// Handle to one live session.
     type Live: Send;
 
-    /// Architecture name, for diagnostics and policy errors.
-    const NAME: &'static str;
-    /// Whether multiple sessions may be live at once (drives the
-    /// worker-count cap: non-concurrent architectures serialize).
-    const CONCURRENT: bool;
-    /// Whether sessions can persist across a platform reset (required
-    /// for durable batches).
-    const DURABLE: bool;
-
     /// Boots the runtime on `platform`.
     fn boot(platform: SecurePlatform) -> Result<Self::Runtime, SeaError>;
 
-    /// Installs (or clears) a deterministic fault plan. A no-op on
-    /// architectures without fault hooks.
+    /// Installs (or clears) a deterministic fault plan.
     fn set_fault_plan(rt: &mut Self::Runtime, plan: Option<FaultPlan>);
 
     /// The underlying platform.
@@ -316,7 +302,7 @@ pub trait Architecture: Send + Sync + 'static {
     fn platform_mut(rt: &mut Self::Runtime) -> &mut SecurePlatform;
 
     /// Reboots the platform after a power loss, returning the virtual
-    /// reboot cost. Only reachable when [`Architecture::DURABLE`].
+    /// reboot cost. Only durable batches reach it.
     fn power_cycle(rt: &mut Self::Runtime) -> SimDuration;
 
     /// Launches a session for `logic` on `cpu`.
@@ -366,8 +352,8 @@ pub trait Architecture: Send + Sync + 'static {
     ) -> Result<(), SeaError>;
 
     /// Runs `logic` to completion on the architecture's degraded slow
-    /// path (no per-session attestation). Only reachable where session
-    /// slots can saturate.
+    /// path (no per-session attestation) when its session slots
+    /// saturate.
     fn degrade(
         rt: &OrderedLock<Self::Runtime>,
         logic: &mut dyn PalLogic,
@@ -380,17 +366,13 @@ pub trait Architecture: Send + Sync + 'static {
 /// The paper's recommended hardware (§5): `SLAUNCH` over an
 /// [`EnhancedSea`] runtime — suspendable sessions, sePCR-bound quotes,
 /// `SKILL` teardown, graceful degradation to the legacy slow path on
-/// sePCR saturation. Concurrent and durable.
+/// sePCR saturation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Slaunch;
 
 impl Architecture for Slaunch {
     type Runtime = EnhancedSea;
     type Live = PalId;
-
-    const NAME: &'static str = "slaunch";
-    const CONCURRENT: bool = true;
-    const DURABLE: bool = true;
 
     fn boot(platform: SecurePlatform) -> Result<EnhancedSea, SeaError> {
         EnhancedSea::new(platform)
@@ -487,130 +469,6 @@ impl Architecture for Slaunch {
         obs.add("core.degraded", 1);
         let done = done?;
         Ok((done.output, done.report))
-    }
-}
-
-/// Today's (2007) hardware: `SKINIT`/`SENTER` over a [`LegacySea`]
-/// runtime. A launch suspends the whole platform and runs the PAL to
-/// completion — full teardown plus `TPM_Seal`/`Unseal` per invocation
-/// — so the architecture is neither concurrent nor durable, and
-/// "stepping" a session observes the already-finished run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Skinit;
-
-/// A completed legacy invocation held by the lifecycle: `SKINIT` runs
-/// the PAL to completion at launch, so the live handle carries the
-/// finished output and report for the later stages to observe.
-#[derive(Debug)]
-pub struct SkinitLive {
-    output: Vec<u8>,
-    report: SessionReport,
-}
-
-impl Architecture for Skinit {
-    type Runtime = LegacySea;
-    type Live = SkinitLive;
-
-    const NAME: &'static str = "skinit";
-    const CONCURRENT: bool = false;
-    const DURABLE: bool = false;
-
-    fn boot(platform: SecurePlatform) -> Result<LegacySea, SeaError> {
-        LegacySea::new(platform)
-    }
-
-    fn set_fault_plan(_rt: &mut LegacySea, _plan: Option<FaultPlan>) {
-        // The legacy engine has no fault hooks; injection plans only
-        // apply to the keyed SLAUNCH operations.
-    }
-
-    fn platform(rt: &LegacySea) -> &SecurePlatform {
-        rt.platform()
-    }
-
-    fn platform_mut(rt: &mut LegacySea) -> &mut SecurePlatform {
-        rt.platform_mut()
-    }
-
-    fn power_cycle(_rt: &mut LegacySea) -> SimDuration {
-        // Unreachable: `DURABLE = false`, so the executor rejects
-        // durable policies before any reset can fire.
-        SimDuration::ZERO
-    }
-
-    fn launch(
-        rt: &OrderedLock<LegacySea>,
-        logic: &mut dyn PalLogic,
-        input: &[u8],
-        cpu: CpuId,
-        _key: Option<u64>,
-    ) -> Result<SkinitLive, SeaError> {
-        // SKINIT is atomic from the OS's point of view: suspend,
-        // launch, run to completion, unseal/seal state, resume. The
-        // target CPU is moot — every other CPU is forcibly idled.
-        let _ = cpu;
-        let done = lock(rt).run_session(logic, input)?;
-        Ok(SkinitLive {
-            output: done.output.unwrap_or_default(),
-            report: done.report,
-        })
-    }
-
-    fn step(
-        _rt: &OrderedLock<LegacySea>,
-        live: &mut SkinitLive,
-        _logic: &mut dyn PalLogic,
-        _key: Option<u64>,
-    ) -> Result<PalStep, SeaError> {
-        Ok(PalStep::Exited {
-            output: std::mem::take(&mut live.output),
-        })
-    }
-
-    fn resume(
-        _rt: &OrderedLock<LegacySea>,
-        _live: &mut SkinitLive,
-        _cpu: CpuId,
-        _key: Option<u64>,
-    ) -> Result<(), SeaError> {
-        // Legacy sessions never yield: launch ran them to completion.
-        Ok(())
-    }
-
-    fn report(_rt: &OrderedLock<LegacySea>, live: &SkinitLive) -> Result<SessionReport, SeaError> {
-        Ok(live.report)
-    }
-
-    fn quote(
-        rt: &OrderedLock<LegacySea>,
-        _live: &mut SkinitLive,
-        nonce: &[u8],
-        _key: Option<u64>,
-    ) -> Result<Timed<Quote>, SeaError> {
-        // Legacy attestation covers the platform's static PCRs — there
-        // is no per-session sePCR to free.
-        lock(rt).quote(nonce)
-    }
-
-    fn kill(
-        _rt: &OrderedLock<LegacySea>,
-        _live: &mut SkinitLive,
-        _key: u64,
-    ) -> Result<(), SeaError> {
-        // Teardown already happened inside the atomic launch.
-        Ok(())
-    }
-
-    fn degrade(
-        _rt: &OrderedLock<LegacySea>,
-        _logic: &mut dyn PalLogic,
-        _input: &[u8],
-        _cpu: CpuId,
-        _key: u64,
-    ) -> Result<(Vec<u8>, SessionReport), SeaError> {
-        // Unreachable: only sePCR saturation degrades, and the legacy
-        // engine has no sePCRs to saturate.
-        Err(SeaError::EngineFault("skinit has no degraded slow path"))
     }
 }
 
@@ -976,10 +834,10 @@ impl ResetTriggers {
 
     /// Decides, at one commit boundary, whether the power fails there.
     /// `epoch` counts resets already survived, `key` is the committing
-    /// session, `recorded` the trace's cumulative event count, `now`
-    /// the machine clock. The budget cap guarantees the recovery loop
-    /// terminates even under a 100% reset rate.
-    fn check(&mut self, epoch: u64, key: u64, recorded: u64, now: SimTime) -> bool {
+    /// session, `recorded` the trace's cumulative event count. The
+    /// budget cap guarantees the recovery loop terminates even under a
+    /// 100% reset rate.
+    fn check(&mut self, epoch: u64, key: u64, recorded: u64) -> bool {
         if self.fired >= self.plan.max_resets() {
             return false;
         }
@@ -987,7 +845,7 @@ impl ResetTriggers {
         if cut {
             self.cut_fired = true;
         }
-        let fire = cut || self.plan.take_due(now) > 0 || self.plan.roll_power_loss(epoch, key);
+        let fire = cut || self.plan.roll_power_loss(epoch, key);
         if fire {
             self.fired += 1;
         }
@@ -1044,11 +902,8 @@ impl DurableCtx<'_> {
         if self.crashed.load(Ordering::SeqCst) {
             return Ok(Attempt::Torn(job));
         }
-        let (recorded, now) = {
-            let machine = A::platform(&guard).machine();
-            (machine.trace().recorded(), machine.now())
-        };
-        let fire = lock(self.triggers).check(self.reset_epoch, key, recorded, now);
+        let recorded = A::platform(&guard).machine().trace().recorded();
+        let fire = lock(self.triggers).check(self.reset_epoch, key, recorded);
         if fire {
             // The cord is yanked before this record reaches NVRAM: the
             // committing session is torn too.
@@ -1221,9 +1076,7 @@ impl<A: Architecture> SessionEngine<A> {
     /// Whatever [`Architecture::boot`] raises (e.g.
     /// [`SeaError::SlaunchUnsupported`] / [`SeaError::NoTpm`]), plus
     /// [`SeaError::NotEnoughCpus`] when `workers` is zero or exceeds
-    /// the platform's CPU count — capped at **one** worker on
-    /// non-[`Architecture::CONCURRENT`] architectures, whose launches
-    /// monopolize the whole platform.
+    /// the platform's CPU count.
     ///
     /// The executor backend defaults to [`Executor::from_env`]
     /// (`SEA_EXECUTOR`); override with [`SessionEngine::with_executor`].
@@ -1232,11 +1085,10 @@ impl<A: Architecture> SessionEngine<A> {
     /// the cap is still the *platform's* CPU count.
     pub fn new(mut platform: SecurePlatform, workers: usize) -> Result<Self, SeaError> {
         let n_cpus = platform.machine().cpus().len();
-        let cap = if A::CONCURRENT { n_cpus } else { 1 };
-        if workers == 0 || workers > cap {
+        if workers == 0 || workers > n_cpus {
             return Err(SeaError::NotEnoughCpus {
                 requested: workers,
-                available: cap,
+                available: n_cpus,
             });
         }
         // Pin TPM latencies to their nominal means: with jitter, a
@@ -1325,10 +1177,8 @@ impl<A: Architecture> SessionEngine<A> {
     ///
     /// # Errors
     ///
-    /// [`SeaError::PolicyUnsupported`] when the policy requests
-    /// durability on a non-[`Architecture::DURABLE`] architecture.
-    /// Otherwise only infrastructure failures surface as `Err` — on the
-    /// plain path the first per-job error (by job index), under a retry
+    /// Only infrastructure failures surface as `Err` — on the plain
+    /// path the first per-job error (by job index), under a retry
     /// policy per-session fault deaths are in-band
     /// [`SessionResult::Killed`] values, and an unreadable journal is
     /// [`SeaError::JournalCorrupt`].
@@ -1361,12 +1211,6 @@ impl<A: Architecture> SessionEngine<A> {
         jobs: Vec<(usize, ConcurrentJob)>,
         policy: &BatchPolicy,
     ) -> Result<BatchOutcome, SeaError> {
-        if policy.durability().is_some() && !A::DURABLE {
-            return Err(SeaError::PolicyUnsupported {
-                architecture: A::NAME,
-                capability: "durable batches",
-            });
-        }
         let n_jobs = jobs.len();
         let mut seen = vec![false; n_jobs];
         for (i, _) in &jobs {

@@ -626,13 +626,10 @@ impl EnhancedSea {
             .ok_or(SeaError::EngineFault("Done state without a sePCR"))?;
         let (machine, tpm) = self.platform.parts_mut();
         let tpm = tpm.ok_or(SeaError::NoTpm)?;
-        let wire = tpm.sepcr_quote(handle, nonce)?;
+        let quote = tpm.sepcr_quote(handle, nonce)?;
         tpm.sepcr_free(handle)?;
-        machine.charge(Layer::Tpm, "tpm.quote", wire.elapsed);
-        // Parse the TPM's canonical wire bytes back into the in-memory
-        // form; remote verifiers consume the bytes directly.
-        let quote = Quote::from_wire(&wire.value)?;
-        Ok(wire.map(|_| quote))
+        machine.charge(Layer::Tpm, "tpm.quote", quote.elapsed);
+        Ok(quote)
     }
 
     /// §6 *Multicore PALs*: joins `new_cpu` to a PAL currently in the

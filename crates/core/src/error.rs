@@ -58,15 +58,6 @@ pub enum SeaError {
         /// Attempts made before giving up (1 initial + retries).
         attempts: u32,
     },
-    /// The batch policy asked for a capability the selected
-    /// architecture does not provide (e.g. durable batches on
-    /// `Skinit`, whose sessions cannot persist across a teardown).
-    PolicyUnsupported {
-        /// The architecture's name.
-        architecture: &'static str,
-        /// The capability the policy required.
-        capability: &'static str,
-    },
     /// The engine's own machinery failed (a worker thread panicked, a
     /// result slot was left unfilled, an internal invariant broke).
     /// Surfaced as an error so a batch driver can report and continue
@@ -111,15 +102,6 @@ impl fmt::Display for SeaError {
                 write!(
                     f,
                     "session {session} killed after {attempts} failed attempts"
-                )
-            }
-            SeaError::PolicyUnsupported {
-                architecture,
-                capability,
-            } => {
-                write!(
-                    f,
-                    "the {architecture} architecture does not support {capability}"
                 )
             }
             SeaError::EngineFault(what) => write!(f, "engine fault: {what}"),
@@ -185,10 +167,6 @@ mod tests {
             SeaError::SessionKilled {
                 session: 7,
                 attempts: 5,
-            },
-            SeaError::PolicyUnsupported {
-                architecture: "skinit",
-                capability: "durable batches",
             },
             SeaError::EngineFault("worker thread panicked"),
             SeaError::JournalCorrupt("bad magic"),

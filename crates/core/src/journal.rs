@@ -406,8 +406,7 @@ mod tests {
             sea_tpm::KeyStrength::Demo512,
             b"journal test",
         );
-        let wire = tpm.quote(b"nonce", &[sea_tpm::PcrIndex(17)]).unwrap().value;
-        Quote::from_wire(&wire).expect("TPM emits well-formed wire")
+        tpm.quote(b"nonce", &[sea_tpm::PcrIndex(17)]).unwrap().value
     }
 
     #[test]

@@ -231,15 +231,11 @@ impl LegacySea {
     pub fn quote(&mut self, nonce: &[u8]) -> Result<Timed<Quote>, SeaError> {
         let selection = self.measurement_pcrs();
         let tpm = self.platform.require_tpm()?;
-        let wire = tpm.quote(nonce, &selection)?;
+        let quote = tpm.quote(nonce, &selection)?;
         self.platform
             .machine_mut()
-            .charge(Layer::Tpm, "tpm.quote", wire.elapsed);
-        // The TPM emits the canonical wire encoding; parse it back into
-        // the in-memory form for platform-side callers. A decode failure
-        // here would mean the platform codec disagrees with itself.
-        let quote = Quote::from_wire(&wire.value)?;
-        Ok(wire.map(|_| quote))
+            .charge(Layer::Tpm, "tpm.quote", quote.elapsed);
+        Ok(quote)
     }
 }
 

@@ -82,7 +82,7 @@ pub mod vm;
 pub use attest::{TrustPolicy, Verifier, VerifyError};
 pub use engine::{
     Architecture, BatchOutcome, BatchPolicy, ConcurrentJob, Executor, JobResult, Session,
-    SessionEngine, SessionResult, SessionTally, Skinit, Slaunch, Stepped, JOURNAL_NV_INDEX,
+    SessionEngine, SessionResult, SessionTally, Slaunch, Stepped, JOURNAL_NV_INDEX,
 };
 pub use enhanced::{EnhancedSea, PalDone, PalId, PalStep};
 pub use error::SeaError;

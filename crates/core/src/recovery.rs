@@ -77,8 +77,8 @@ impl RetryPolicy {
     }
 
     /// Whether `error` is worth retrying under this policy: transient
-    /// TPM transport glitches, the TPM lock being momentarily held, and
-    /// spurious memory-controller denials all clear on their own.
+    /// TPM transport glitches and spurious memory-controller denials
+    /// both clear on their own.
     /// Everything else — fatal transport faults, lifecycle violations,
     /// exhausted sePCR banks — is not retryable (saturation is handled
     /// by *degradation*, not retry).
@@ -123,7 +123,7 @@ mod tests {
     fn retryability_classification() {
         let p = RetryPolicy::default();
         assert!(p.is_retryable(&SeaError::Tpm(TpmError::TransportFault { retryable: true })));
-        assert!(p.is_retryable(&SeaError::Tpm(TpmError::LockHeld { holder: CpuId(1) })));
+        assert!(!p.is_retryable(&SeaError::Tpm(TpmError::LockHeld { holder: CpuId(1) })));
         assert!(p.is_retryable(&SeaError::Hw(HwError::AccessDenied {
             requester: Requester::Cpu(CpuId(0)),
             page: PageIndex(64),

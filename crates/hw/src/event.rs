@@ -36,14 +36,8 @@ pub struct Event<T> {
     pub id: u64,
     /// Caller payload.
     pub payload: T,
-    seq: u64,
-}
-
-impl<T> Event<T> {
     /// Insertion sequence number (the final FIFO tie-break).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
+    seq: u64,
 }
 
 // BinaryHeap is a max-heap; invert so the *earliest* (time, id, seq)

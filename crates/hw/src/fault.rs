@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Virtual-time cost of a TPM command attempt that dies on the bus: an
 /// aborted LPC round trip. Charged by the session engine whenever an
@@ -127,7 +127,6 @@ pub struct FaultPlan {
     mem_rate: u32,
     timer_rate: u32,
     fatal_ratio: u32,
-    scheduled: Vec<(SimTime, FaultKind)>,
 }
 
 impl FaultPlan {
@@ -140,7 +139,6 @@ impl FaultPlan {
             mem_rate: 0,
             timer_rate: 0,
             fatal_ratio: 0,
-            scheduled: Vec::new(),
         }
     }
 
@@ -187,30 +185,6 @@ impl FaultPlan {
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// True if this plan can never inject anything.
-    pub fn is_fault_free(&self) -> bool {
-        self.tpm_rate == 0
-            && self.mem_rate == 0
-            && self.timer_rate == 0
-            && self.scheduled.is_empty()
-    }
-
-    /// Pins a fault to a chosen virtual-time point. Scheduled faults
-    /// are consumed in order by [`FaultPlan::take_due`]; they are meant
-    /// for serial, single-worker scenarios where virtual time is a
-    /// deterministic function of the workload.
-    pub fn schedule_at(&mut self, at: SimTime, kind: FaultKind) {
-        self.scheduled.push((at, kind));
-        self.scheduled.sort_by_key(|(t, _)| t.as_ns());
-    }
-
-    /// Removes and returns every scheduled fault due at or before
-    /// `now`.
-    pub fn take_due(&mut self, now: SimTime) -> Vec<FaultKind> {
-        let split = self.scheduled.partition_point(|(t, _)| *t <= now);
-        self.scheduled.drain(..split).map(|(_, k)| k).collect()
     }
 
     /// Rolls for a TPM transport fault at `(key, seq)`. Returns the
@@ -281,8 +255,6 @@ mod tests {
             assert!(full.roll_mem_denial(0, seq));
             assert!(full.roll_timer_expiry(0, seq));
         }
-        assert!(zero.is_fault_free());
-        assert!(!full.is_fault_free());
     }
 
     #[test]
@@ -315,27 +287,6 @@ mod tests {
         };
         assert_ne!(stream(0), stream(1));
         assert_ne!(stream(1), stream(2));
-    }
-
-    #[test]
-    fn scheduled_faults_drain_in_time_order() {
-        let mut plan = FaultPlan::fault_free();
-        plan.schedule_at(SimTime::from_ns(300), FaultKind::MemDenial);
-        plan.schedule_at(
-            SimTime::from_ns(100),
-            FaultKind::TpmTransport { retryable: true },
-        );
-        assert!(!plan.is_fault_free());
-        assert_eq!(
-            plan.take_due(SimTime::from_ns(200)),
-            vec![FaultKind::TpmTransport { retryable: true }]
-        );
-        assert_eq!(
-            plan.take_due(SimTime::from_ns(400)),
-            vec![FaultKind::MemDenial]
-        );
-        assert!(plan.take_due(SimTime::from_ns(500)).is_empty());
-        assert!(plan.is_fault_free());
     }
 
     #[test]

@@ -117,15 +117,10 @@ impl Machine {
         self.clock.now()
     }
 
-    /// Advances virtual time.
-    pub fn advance(&mut self, d: SimDuration) {
-        self.clock.advance(d);
-    }
-
     /// Advances virtual time by `d` *and* records an attributed leaf
-    /// span on the observability sink. This is the instrumented twin of
-    /// [`Machine::advance`]: the sum of charges always equals the clock
-    /// movement, so per-layer attribution and total virtual time agree
+    /// span on the observability sink. This and [`Machine::reset`] are
+    /// the only calls that move the clock, and both record what they
+    /// move it by, so per-layer attribution and total virtual time agree
     /// by construction.
     pub fn charge(&mut self, layer: Layer, op: &'static str, d: SimDuration) {
         self.obs.leaf(layer, op, d);
@@ -141,11 +136,6 @@ impl Machine {
     /// The machine's observability handle (cheap to clone).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Advances virtual time to `t` if in the future.
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        self.clock.advance_to(t)
     }
 
     /// The CPU with identifier `id`.
@@ -522,9 +512,9 @@ mod tests {
     #[test]
     fn clock_plumbing() {
         let mut m = machine();
-        m.advance(SimDuration::from_ms(2));
+        m.charge(Layer::Hw, "hw.test", SimDuration::from_ms(2));
         assert_eq!(m.now(), SimTime::from_ns(2_000_000));
-        m.advance_to(SimTime::from_ns(1)); // past: no-op
+        m.charge(Layer::Hw, "hw.test", SimDuration::ZERO);
         assert_eq!(m.now(), SimTime::from_ns(2_000_000));
     }
 
@@ -538,7 +528,7 @@ mod tests {
         // Dirty the persistent half: memory contents and some time.
         m.write(Requester::Cpu(CpuId(0)), PhysAddr(0), b"sticky")
             .unwrap();
-        m.advance(SimDuration::from_ms(3));
+        m.charge(Layer::Hw, "hw.test", SimDuration::from_ms(3));
         let before = m.now();
         assert_eq!(m.memory().resident_pages(), 1);
 

@@ -10,20 +10,18 @@
 //! number)`, so a crashing run replays identically on one worker or
 //! sixteen.
 //!
-//! Three triggers compose, most-specific first:
+//! Two triggers compose, most-specific first:
 //!
 //! * **Event cut** — [`ResetPlan::with_cut_after_events`] pins the
 //!   power loss to an exact trace-event boundary. This is what the
 //!   crash-point property test sweeps: cut at *every* boundary of a
 //!   reference batch and prove recovery.
-//! * **Scheduled resets** — [`ResetPlan::schedule_at`] pins resets to
-//!   chosen virtual-time points, drained by [`ResetPlan::take_due`].
 //! * **Rate rolls** — [`ResetPlan::roll_power_loss`] fires with
 //!   probability `reset_rate / RATE_DENOM` per commit boundary, for the
 //!   `crash_sweep` experiment's reset-rate axis.
 
 use crate::fault::XorShift;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::RATE_DENOM;
 
 /// Virtual-time cost of one platform reset: power loss through
@@ -48,19 +46,17 @@ pub struct ResetPlan {
     reset_rate: u32,
     max_resets: u32,
     cut_after_events: Option<u64>,
-    scheduled: Vec<SimTime>,
 }
 
 impl ResetPlan {
     /// A plan with the given seed and no triggers configured: injects
-    /// nothing until a rate, cut, or schedule is set.
+    /// nothing until a rate or cut is set.
     pub fn new(seed: u64) -> Self {
         ResetPlan {
             seed,
             reset_rate: 0,
             max_resets: 8,
             cut_after_events: None,
-            scheduled: Vec::new(),
         }
     }
 
@@ -104,29 +100,6 @@ impl ResetPlan {
         self.max_resets
     }
 
-    /// The trace-event cut point, if one is pinned.
-    pub fn cut_after_events(&self) -> Option<u64> {
-        self.cut_after_events
-    }
-
-    /// True if this plan can never cut power.
-    pub fn is_reset_free(&self) -> bool {
-        self.reset_rate == 0 && self.cut_after_events.is_none() && self.scheduled.is_empty()
-    }
-
-    /// Pins a reset to a chosen virtual-time point, consumed by
-    /// [`ResetPlan::take_due`].
-    pub fn schedule_at(&mut self, at: SimTime) {
-        self.scheduled.push(at);
-        self.scheduled.sort_by_key(|t| t.as_ns());
-    }
-
-    /// Removes and counts every scheduled reset due at or before `now`.
-    pub fn take_due(&mut self, now: SimTime) -> usize {
-        let split = self.scheduled.partition_point(|t| *t <= now);
-        self.scheduled.drain(..split).count()
-    }
-
     /// Whether the pinned event cut fires at a cumulative trace-event
     /// count of `events`.
     pub fn cut_due(&self, events: u64) -> bool {
@@ -167,8 +140,6 @@ mod tests {
             assert!(!zero.roll_power_loss(0, seq));
             assert!(full.roll_power_loss(0, seq));
         }
-        assert!(zero.is_reset_free());
-        assert!(!full.is_reset_free());
     }
 
     #[test]
@@ -188,24 +159,10 @@ mod tests {
     #[test]
     fn event_cut_fires_once_reached() {
         let plan = ResetPlan::reset_free().with_cut_after_events(5);
-        assert!(!plan.is_reset_free());
-        assert_eq!(plan.cut_after_events(), Some(5));
         assert!(!plan.cut_due(4));
         assert!(plan.cut_due(5));
         assert!(plan.cut_due(6));
         assert!(!ResetPlan::reset_free().cut_due(1_000_000));
-    }
-
-    #[test]
-    fn scheduled_resets_drain_in_time_order() {
-        let mut plan = ResetPlan::reset_free();
-        plan.schedule_at(SimTime::from_ns(300));
-        plan.schedule_at(SimTime::from_ns(100));
-        assert!(!plan.is_reset_free());
-        assert_eq!(plan.take_due(SimTime::from_ns(200)), 1);
-        assert_eq!(plan.take_due(SimTime::from_ns(400)), 1);
-        assert_eq!(plan.take_due(SimTime::from_ns(500)), 0);
-        assert!(plan.is_reset_free());
     }
 
     #[test]

@@ -226,18 +226,6 @@ impl SimClock {
     pub fn advance(&mut self, d: SimDuration) {
         self.now += d;
     }
-
-    /// Advances the clock to `t` if `t` is in the future; otherwise leaves
-    /// it unchanged. Returns the (possibly unchanged) current time.
-    ///
-    /// Used by the multi-core scheduler where independent per-CPU
-    /// completion times join back into the global timeline.
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
 }
 
 #[cfg(test)]
@@ -286,9 +274,9 @@ mod tests {
         let mut c = SimClock::new();
         c.advance(SimDuration::from_ms(5));
         let t5 = c.now();
-        c.advance_to(SimTime::from_ns(1)); // in the past: no-op
+        c.advance(SimDuration::ZERO);
         assert_eq!(c.now(), t5);
-        c.advance_to(SimTime::from_ns(10_000_000));
+        c.advance(SimDuration::from_ms(5));
         assert_eq!(c.now(), SimTime::from_ns(10_000_000));
     }
 

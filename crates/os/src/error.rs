@@ -9,16 +9,6 @@ use sea_core::SeaError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum OsError {
-    /// The allocator has no contiguous run of the requested size.
-    OutOfMemory {
-        /// Pages requested.
-        requested: u32,
-        /// Largest contiguous run currently available.
-        largest_free: u32,
-    },
-    /// A range passed to `free` was not (entirely) allocated by this
-    /// allocator.
-    NotAllocated,
     /// A SEA operation performed on the OS's behalf failed.
     Sea(SeaError),
     /// The scheduler was asked to run with no work registered.
@@ -32,14 +22,6 @@ pub enum OsError {
 impl fmt::Display for OsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OsError::OutOfMemory {
-                requested,
-                largest_free,
-            } => write!(
-                f,
-                "out of memory: requested {requested} contiguous pages, largest free run is {largest_free}"
-            ),
-            OsError::NotAllocated => write!(f, "range was not allocated"),
             OsError::Sea(e) => write!(f, "SEA operation failed: {e}"),
             OsError::NothingToRun => write!(f, "scheduler has no jobs"),
             OsError::SchedulerInternal(what) => write!(f, "scheduler invariant violated: {what}"),
@@ -68,16 +50,10 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = OsError::OutOfMemory {
-            requested: 10,
-            largest_free: 3,
-        };
-        assert!(e.to_string().contains("10"));
-        assert!(Error::source(&e).is_none());
         let s: OsError = SeaError::NoTpm.into();
         assert!(Error::source(&s).is_some());
-        assert!(!OsError::NotAllocated.to_string().is_empty());
         assert!(!OsError::NothingToRun.to_string().is_empty());
+        assert!(Error::source(&OsError::NothingToRun).is_none());
         let i = OsError::SchedulerInternal("slot unfilled");
         assert!(i.to_string().contains("slot unfilled"));
         assert!(Error::source(&i).is_none());

@@ -6,10 +6,6 @@
 //! §5's requirement: "the untrusted OS retain\[s\] the role of the
 //! resource manager". This crate plays that role:
 //!
-//! * [`PageAllocator`] — allocates physical pages to PALs and copes with
-//!   the discontiguous memory that PAL protection creates ("supporting
-//!   the execution of PALs requires the OS to cope with discontiguous
-//!   physical memory", §5.2.2).
 //! * [`Scheduler`] — multiprograms PALs and legacy work across CPUs on
 //!   the proposed hardware, and [`LegacyBatch`] — the baseline
 //!   whole-platform-stall execution — together reproducing the paper's
@@ -22,32 +18,22 @@
 //!   measurements, and replays launches; every attack returns whether
 //!   the hardware let it through.
 //!
-//! # Example
-//!
-//! ```
-//! use sea_os::PageAllocator;
-//! use sea_hw::{PageIndex, PageRange};
-//!
-//! let mut alloc = PageAllocator::new(PageRange::new(PageIndex(64), 64));
-//! let a = alloc.alloc(10).unwrap();
-//! let b = alloc.alloc(10).unwrap();
-//! assert!(!a.overlaps(&b));
-//! alloc.free(a).unwrap();
-//! assert_eq!(alloc.free_pages(), 54);
-//! ```
+//! PAL placement is not this crate's job: `SLAUNCH` and the legacy
+//! fallback place PAL regions with [`sea_core::EnhancedSea`]'s own
+//! region allocator, which reuses the regions released PALs leave
+//! behind — the "discontiguous physical memory" §5.2.2 says the OS must
+//! cope with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adversary;
-mod alloc;
 mod dispatch;
 mod error;
 mod scheduler;
 mod workload;
 
 pub use adversary::{Adversary, AttackOutcome};
-pub use alloc::PageAllocator;
 pub use dispatch::{DispatchPolicy, Dispatcher};
 pub use error::OsError;
 pub use scheduler::{LegacyBatch, ScheduleOutcome, Scheduler};

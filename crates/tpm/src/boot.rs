@@ -234,12 +234,10 @@ mod tests {
     fn quoted_boot_state_verifies_end_to_end() {
         let mut t = tpm();
         let log = boot_chain(&mut t);
-        let quote = crate::quote::Quote::from_wire(
-            &t.quote(b"nonce", &[PcrIndex(0), PcrIndex(4), PcrIndex(8)])
-                .unwrap()
-                .value,
-        )
-        .unwrap();
+        let quote = t
+            .quote(b"nonce", &[PcrIndex(0), PcrIndex(4), PcrIndex(8)])
+            .unwrap()
+            .value;
         assert!(quote.verify_signature(t.aik_public()));
         // Extract the reported values from the quote and check the log.
         if let crate::quote::QuoteSource::Pcrs { selection, values } = quote.source() {

@@ -67,14 +67,13 @@ pub enum TpmError {
 }
 
 impl TpmError {
-    /// Whether a caller may reasonably retry the failed command:
-    /// transient transport glitches and the hardware TPM lock being
-    /// momentarily held both clear on their own.
+    /// Whether a caller may reasonably retry the failed command: only a
+    /// transient transport glitch clears on its own. No TPM command
+    /// returns [`TpmError::LockHeld`]; only a non-holder releasing
+    /// [`crate::ShardedTpmArbiter`] does, and that is a bug to surface,
+    /// not a wait to retry.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            TpmError::TransportFault { retryable: true } | TpmError::LockHeld { .. }
-        )
+        matches!(self, TpmError::TransportFault { retryable: true })
     }
 }
 
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn retryability_classification() {
         assert!(TpmError::TransportFault { retryable: true }.is_retryable());
-        assert!(TpmError::LockHeld { holder: CpuId(1) }.is_retryable());
+        assert!(!TpmError::LockHeld { holder: CpuId(1) }.is_retryable());
         assert!(!TpmError::TransportFault { retryable: false }.is_retryable());
         assert!(!TpmError::NoFreeSePcr.is_retryable());
         assert!(!TpmError::WrongPcrState.is_retryable());

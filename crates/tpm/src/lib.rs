@@ -67,7 +67,7 @@ pub use error::TpmError;
 pub use lock::{ShardedTpmArbiter, TpmGrant};
 pub use nvram::Nvram;
 pub use pcr::{PcrBank, PcrIndex, PcrValue, DYNAMIC_PCR_FIRST, DYNAMIC_PCR_LAST, NUM_PCRS};
-pub use quote::{Quote, QuoteSource, WireQuote, WIRE_QUOTE_MAGIC, WIRE_QUOTE_VERSION};
+pub use quote::{Quote, QuoteSource, WIRE_QUOTE_MAGIC, WIRE_QUOTE_VERSION};
 pub use seal::SealedBlob;
 pub use sepcr::{SePcrBank, SePcrHandle, SePcrState, SKILL_CONSTANT};
 pub use sepcr_set::{SePcrSetBank, SePcrSetHandle};

@@ -81,11 +81,6 @@ impl ShardedTpmArbiter {
         self.granted
     }
 
-    /// Number of CPUs with a raised request line.
-    pub fn waiting(&self) -> usize {
-        self.lanes.iter().filter(|l| l.is_some()).count()
-    }
-
     /// Raises `cpu`'s request line stamped `at`. A raised line keeps its
     /// earliest stamp (the hardware has one line per CPU); a request from
     /// the current holder is a no-op.
@@ -167,9 +162,13 @@ mod tests {
         // Other CPUs must wait; the holder re-requesting is a no-op.
         arb.request(SimTime::ZERO, CpuId(1));
         arb.request(SimTime::ZERO, CpuId(0));
-        assert_eq!(arb.waiting(), 1);
         assert_eq!(arb.grant(), None);
         assert_eq!(arb.holder(), Some(CpuId(0)));
+        // Only CPU 1 was queued: it wins next, then nobody is left.
+        arb.release(CpuId(0)).unwrap();
+        assert_eq!(granted_cpu(&mut arb), Some(CpuId(1)));
+        arb.release(CpuId(1)).unwrap();
+        assert_eq!(arb.grant(), None);
     }
 
     #[test]
@@ -193,7 +192,6 @@ mod tests {
         arb.request(SimTime::from_ns(50), CpuId(0));
         arb.request(SimTime::from_ns(10), CpuId(9));
         arb.request(SimTime::from_ns(10), CpuId(4));
-        assert_eq!(arb.waiting(), 3);
         // t=10 beats t=50; cpu4 beats cpu9 at equal time.
         assert_eq!(granted_cpu(&mut arb), Some(CpuId(4)));
         assert_eq!(arb.holder(), Some(CpuId(4)));
@@ -250,7 +248,6 @@ mod tests {
         arb.request(SimTime::from_ns(30), CpuId(1));
         arb.request(SimTime::from_ns(5), CpuId(1)); // earlier stamp wins
         arb.request(SimTime::from_ns(20), CpuId(2));
-        assert_eq!(arb.waiting(), 2);
         let g = arb.grant().unwrap();
         assert_eq!(
             g,
@@ -262,13 +259,16 @@ mod tests {
         assert_eq!(arb.granted(), Some(g));
         // The holder re-requesting is a no-op, not a queued duplicate.
         arb.request(SimTime::from_ns(40), CpuId(1));
-        assert_eq!(arb.waiting(), 1);
         assert_eq!(
             arb.release(CpuId(2)),
             Err(TpmError::LockHeld { holder: CpuId(1) })
         );
         arb.release(CpuId(1)).unwrap();
         assert!(arb.release(CpuId(1)).is_ok()); // releasing unheld is harmless
+
+        // CPU 2 was the only line left raised.
         assert_eq!(arb.grant().unwrap().requested, SimTime::from_ns(20));
+        arb.release(CpuId(2)).unwrap();
+        assert_eq!(arb.grant(), None);
     }
 }

@@ -103,57 +103,6 @@ pub const WIRE_QUOTE_MAGIC: [u8; 4] = *b"SEAQ";
 /// not understand rather than guess.
 pub const WIRE_QUOTE_VERSION: u16 = 2;
 
-/// The canonical serialized form of a [`Quote`] — what actually crosses
-/// the wire to a remote verifier.
-///
-/// The TPM emits *this* (not the in-memory [`Quote`] struct), so the
-/// platform and the verifier cannot silently share representation
-/// assumptions: both sides must go through the byte format. Layout
-/// (all lengths big-endian):
-///
-/// ```text
-/// [0..4)   magic  "SEAQ"                      (WIRE_QUOTE_MAGIC)
-/// [4..6)   format version, u16                (WIRE_QUOTE_VERSION)
-/// then 3 length-prefixed fields, in this order:
-///   u32 len ‖ source encoding   (tagged: 0x00 PCR selection, 0x01 sePCR)
-///   u32 len ‖ nonce
-///   u32 len ‖ AIK signature
-/// ```
-///
-/// Trailing bytes after the last field are a framing error. A
-/// `WireQuote` is an *unvalidated* container — [`Quote::from_wire`]
-/// performs the structural checks, [`Quote::verify_signature`] the
-/// cryptographic one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireQuote(Vec<u8>);
-
-impl WireQuote {
-    /// Wraps raw bytes received from the wire (unvalidated).
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        WireQuote(bytes)
-    }
-
-    /// The serialized quote.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Consumes the wrapper, yielding the serialized quote.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-
-    /// Serialized length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the container is empty (never true for TPM output).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 /// The digest an AIK signs for a quote.
 pub(crate) fn quote_digest(source: &QuoteSource, nonce: &[u8]) -> Sha1Digest {
     let mut h = Sha1::new();
@@ -224,8 +173,20 @@ impl Quote {
         })
     }
 
-    /// Serializes the quote into the canonical wire format (see
-    /// [`WireQuote`] for the layout).
+    /// Serializes the quote into the canonical wire format: what
+    /// crosses the wire to a remote verifier. Layout (all lengths
+    /// big-endian):
+    ///
+    /// ```text
+    /// [0..4)   magic  "SEAQ"                      (WIRE_QUOTE_MAGIC)
+    /// [4..6)   format version, u16                (WIRE_QUOTE_VERSION)
+    /// then 3 length-prefixed fields, in this order:
+    ///   u32 len ‖ source encoding   (tagged: 0x00 PCR selection, 0x01 sePCR)
+    ///   u32 len ‖ nonce
+    ///   u32 len ‖ AIK signature
+    /// ```
+    ///
+    /// Trailing bytes after the last field are a framing error.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = WIRE_QUOTE_MAGIC.to_vec();
         out.extend_from_slice(&WIRE_QUOTE_VERSION.to_be_bytes());
@@ -235,11 +196,6 @@ impl Quote {
             out.extend_from_slice(part);
         }
         out
-    }
-
-    /// Serializes the quote for transmission to a remote verifier.
-    pub fn to_wire(&self) -> WireQuote {
-        WireQuote(self.to_bytes())
     }
 
     /// Deserializes a quote written by [`Quote::to_bytes`]. Structural
@@ -288,15 +244,6 @@ impl Quote {
             nonce,
             signature,
         })
-    }
-
-    /// Parses a quote received over the wire.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Quote::from_bytes`].
-    pub fn from_wire(wire: &WireQuote) -> Result<Self, TpmError> {
-        Self::from_bytes(wire.as_bytes())
     }
 }
 
@@ -423,23 +370,16 @@ mod tests {
     fn wire_format_has_versioned_header() {
         let key = aik();
         let q = signed(&key, sample_source(), b"n");
-        let wire = q.to_wire();
-        assert_eq!(&wire.as_bytes()[..4], b"SEAQ");
+        let wire = q.to_bytes();
+        assert_eq!(&wire[..4], b"SEAQ");
         assert_eq!(
-            u16::from_be_bytes(wire.as_bytes()[4..6].try_into().unwrap()),
+            u16::from_be_bytes(wire[4..6].try_into().unwrap()),
             WIRE_QUOTE_VERSION
         );
-        assert!(!wire.is_empty());
-        assert_eq!(wire.len(), wire.as_bytes().len());
-        // Round-trips through the wire type.
-        assert_eq!(Quote::from_wire(&wire).unwrap(), q);
-        assert_eq!(
-            WireQuote::from_bytes(wire.clone().into_bytes()).as_bytes(),
-            wire.as_bytes()
-        );
+        assert_eq!(Quote::from_bytes(&wire).unwrap(), q);
         // An unknown version is rejected outright, even with an intact
         // body: the verifier must not guess at framing.
-        let mut future = wire.into_bytes();
+        let mut future = wire;
         future[5] = 0x63;
         assert_eq!(
             Quote::from_bytes(&future).unwrap_err(),

@@ -11,7 +11,7 @@ use sea_hw::{CpuId, Layer, Obs, SimDuration, TpmKind};
 use crate::error::TpmError;
 use crate::nvram::Nvram;
 use crate::pcr::{PcrBank, PcrIndex, PcrValue};
-use crate::quote::{quote_digest, Quote, QuoteSource, WireQuote};
+use crate::quote::{quote_digest, Quote, QuoteSource};
 use crate::seal::{seal_payload, unseal_payload, SealSelection, SealedBlob, MAX_SELECTION_LEN};
 use crate::sepcr::{SePcrBank, SePcrHandle};
 use crate::timing::{TpmOp, TpmTimingModel};
@@ -29,14 +29,6 @@ pub struct Timed<T> {
 impl<T> Timed<T> {
     fn new(value: T, elapsed: SimDuration) -> Self {
         Timed { value, elapsed }
-    }
-
-    /// Maps the inner value, preserving the cost.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Timed<U> {
-        Timed {
-            value: f(self.value),
-            elapsed: self.elapsed,
-        }
     }
 }
 
@@ -401,14 +393,9 @@ impl Tpm {
     }
 
     /// `TPM_Quote`: signs the current values of `selection` and the
-    /// verifier's `nonce` with the AIK.
-    ///
-    /// Returns the canonical serialized wire format ([`WireQuote`]),
-    /// not the in-memory [`Quote`] struct: what leaves the TPM is
-    /// exactly what a remote verifier receives, so platform and
-    /// verifier cannot silently share representation assumptions.
-    /// Platform-side callers that need the parsed form go through
-    /// [`Quote::from_wire`].
+    /// verifier's `nonce` with the AIK. Whoever sends the quote to a
+    /// remote verifier encodes it there with [`Quote::to_bytes`]; the
+    /// verifier parses it with [`Quote::from_bytes`].
     ///
     /// # Errors
     ///
@@ -420,7 +407,7 @@ impl Tpm {
         &mut self,
         nonce: &[u8],
         selection: &[PcrIndex],
-    ) -> Result<Timed<WireQuote>, TpmError> {
+    ) -> Result<Timed<Quote>, TpmError> {
         if selection.len() > MAX_SELECTION_LEN {
             return Err(TpmError::SelectionTooLong {
                 len: selection.len(),
@@ -435,10 +422,7 @@ impl Tpm {
         };
         let sig = self.aik.sign_pkcs1v15(&quote_digest(&source, nonce))?;
         let cost = self.cost(TpmOp::Quote);
-        Ok(Timed::new(
-            Quote::new(source, nonce.to_vec(), sig).to_wire(),
-            cost,
-        ))
+        Ok(Timed::new(Quote::new(source, nonce.to_vec(), sig), cost))
     }
 
     /// `TPM_GetRandom`.
@@ -614,11 +598,6 @@ impl Tpm {
     /// `TPM_Quote` over a sePCR in the Quote state — invocable by
     /// *untrusted* code, which received the handle as PAL output (§5.4.3).
     ///
-    /// Returns the canonical serialized wire format; see [`Tpm::quote`].
-    /// This is also the form the discrete-event executor's ordered TPM
-    /// lock path hands back, so DES-scheduled quotes cross the same
-    /// byte boundary as thread-pool ones.
-    ///
     /// # Errors
     ///
     /// [`TpmError::SePcrWrongState`] outside Quote.
@@ -626,16 +605,13 @@ impl Tpm {
         &mut self,
         handle: SePcrHandle,
         nonce: &[u8],
-    ) -> Result<Timed<WireQuote>, TpmError> {
+    ) -> Result<Timed<Quote>, TpmError> {
         self.transport_gate()?;
         let value = self.sepcrs.read_for_quote(handle)?;
         let source = QuoteSource::SePcr { value };
         let sig = self.aik.sign_pkcs1v15(&quote_digest(&source, nonce))?;
         let cost = self.cost(TpmOp::Quote);
-        Ok(Timed::new(
-            Quote::new(source, nonce.to_vec(), sig).to_wire(),
-            cost,
-        ))
+        Ok(Timed::new(Quote::new(source, nonce.to_vec(), sig), cost))
     }
 
     /// `TPM_SEPCR_Free`: recycles a quoted sePCR (§5.4.3).
@@ -731,8 +707,9 @@ mod tests {
         let mut t = tpm();
         t.extend(PcrIndex(17), &Sha1::digest(b"pal")).unwrap();
         let q = t.quote(b"verifier nonce", &[PcrIndex(17)]).unwrap();
-        // The TPM hands back wire bytes; the verifier parses them.
-        let parsed = Quote::from_wire(&q.value).unwrap();
+        // The verifier parses the bytes the platform sends.
+        let parsed = Quote::from_bytes(&q.value.to_bytes()).unwrap();
+        assert_eq!(parsed, q.value);
         assert!(parsed.verify_signature(t.aik_public()));
         assert!((q.elapsed.as_ms_f64() - 880.0).abs() < 100.0);
     }
@@ -752,9 +729,8 @@ mod tests {
         injected
             .extend(PcrIndex(17), &Sha1::digest(b"pal"))
             .unwrap();
-        let q = injected.quote(b"n", &[PcrIndex(17)]).unwrap();
-        let parsed = Quote::from_wire(&q.value).unwrap();
-        assert!(parsed.verify_signature(generated.aik_public()));
+        let q = injected.quote(b"n", &[PcrIndex(17)]).unwrap().value;
+        assert!(q.verify_signature(generated.aik_public()));
     }
 
     #[test]
@@ -849,7 +825,7 @@ mod tests {
         // Quote is not possible while Exclusive.
         assert!(t.sepcr_quote(h, b"n").is_err());
         t.sepcr_release_to_quote(h, CpuId(0)).unwrap();
-        let q = Quote::from_wire(&t.sepcr_quote(h, b"n").unwrap().value).unwrap();
+        let q = t.sepcr_quote(h, b"n").unwrap().value;
         assert!(q.verify_signature(t.aik_public()));
         match q.source() {
             QuoteSource::SePcr { value } => {
@@ -952,7 +928,7 @@ mod tests {
     fn quote_refuses_selections_its_wire_cannot_record() {
         // The quote encoding counts its indices in one byte too: an
         // unbounded 256-entry quote would be signed, then rejected by
-        // `Quote::from_wire` on the verifier's side.
+        // `Quote::from_bytes` on the verifier's side.
         let mut t = tpm();
         let too_long: Vec<PcrIndex> = (0..256).map(|i| PcrIndex(i as u8 % 24)).collect();
         // Refused before the transport: an armed fault stays pending.
@@ -966,8 +942,8 @@ mod tests {
             TpmError::TransportFault { retryable: true }
         );
         let longest = &too_long[..MAX_SELECTION_LEN];
-        let wire = t.quote(b"nonce", longest).unwrap().value;
-        let parsed = Quote::from_wire(&wire).unwrap();
+        let wire = t.quote(b"nonce", longest).unwrap().value.to_bytes();
+        let parsed = Quote::from_bytes(&wire).unwrap();
         assert!(parsed.verify_signature(t.aik_public()));
         match parsed.source() {
             QuoteSource::Pcrs { selection, .. } => assert_eq!(selection, longest),
@@ -1059,13 +1035,5 @@ mod tests {
         let after = t.extend(PcrIndex(17), &digest).unwrap().elapsed;
         assert_eq!(before, after);
         assert_eq!(after, t.timing().mean(TpmOp::PcrExtend));
-    }
-
-    #[test]
-    fn timed_map_preserves_cost() {
-        let t = Timed::new(3u32, SimDuration::from_ms(7));
-        let u = t.map(|v| v * 2);
-        assert_eq!(u.value, 6);
-        assert_eq!(u.elapsed, SimDuration::from_ms(7));
     }
 }

@@ -15,7 +15,7 @@ use minimal_tcb::core::{EnhancedSea, FnPal, PalLogic, PalOutcome, SecurePlatform
 use minimal_tcb::crypto::Drbg;
 use minimal_tcb::hw::{CpuId, Platform};
 use minimal_tcb::tpm::KeyStrength;
-use minimal_tcb::tpm::{establish_transport, EventLog, PcrIndex, Quote, QuoteSource};
+use minimal_tcb::tpm::{establish_transport, EventLog, PcrIndex, QuoteSource};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== attestation tour ==\n");
@@ -35,12 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             b"sysvinit, 382 rc scripts",
         )?;
     }
-    let wire = sp
+    let quote = sp
         .tpm_mut()
         .unwrap()
         .quote(b"boot-nonce", &[PcrIndex(0), PcrIndex(4), PcrIndex(8)])?
         .value;
-    let quote = Quote::from_wire(&wire)?;
     println!("trusted boot attestation:");
     println!(
         "  log entries the verifier must individually judge: {}",

@@ -141,10 +141,19 @@ cargo test -q -p minimal-tcb --offline --test vm_differential
 
 echo "== suite + BENCH_suite.json (smoke mode, offline) =="
 SUITE_JSON=target/BENCH_suite.json
+SUITE_GOLDEN=tests/golden/BENCH_suite.smoke.json
 rm -f "$SUITE_JSON"
-SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin suite -- 2 --json "$SUITE_JSON" > /dev/null
+# The golden was recorded on the default executor, so SEA_EXECUTOR is
+# unset for this run whatever the caller exported.
+env -u SEA_EXECUTOR SEA_BENCH_SMOKE=1 \
+  cargo run -q --release -p sea-bench --offline --bin suite -- 2 --json "$SUITE_JSON" > /dev/null
 [ -s "$SUITE_JSON" ] || { echo "ci.sh: $SUITE_JSON missing or empty" >&2; exit 1; }
 cargo run -q --release -p sea-bench --offline --bin suite -- --validate "$SUITE_JSON"
+# Every simulated number is pinned: a change that moves one shows up as
+# a diff against the committed golden (EXPERIMENTS.md names the command
+# that regenerates it).
+cmp "$SUITE_GOLDEN" "$SUITE_JSON" \
+  || { echo "ci.sh: $SUITE_JSON differs from $SUITE_GOLDEN" >&2; exit 1; }
 
 echo "== suite worker-count invariance: 1 vs 8 vs 16 workers (smoke mode, offline) =="
 # The decomposed engine lock must not cost determinism: the whole suite

@@ -18,7 +18,7 @@
 //!   [`core::LegacySea`] (today's hardware: SKINIT + TPM sealing),
 //!   [`core::EnhancedSea`] (proposed: SLAUNCH/SECB/SYIELD/SFREE/SKILL),
 //!   and the external [`core::Verifier`].
-//! * [`os`] — the untrusted OS: page allocator, PAL scheduler, and the
+//! * [`os`] — the untrusted OS: PAL scheduler, baseline batch, and the
 //!   threat model's ring-0 [`os::Adversary`].
 //! * [`pals`] — the paper's four applications: rootkit detector,
 //!   distributed factoring, certificate authority, SSH passwords.

@@ -1,17 +1,17 @@
 //! Unit-level suite for the unified `sea_core::engine` module.
 //!
 //! Everything here drives the engine through its public surface —
-//! `SessionEngine::run` under each `BatchPolicy` composition, the
-//! typestate `Session` by hand, and both `Architecture` impls — so it
-//! lives with the other batch-level suites rather than inside the
-//! crate. The golden differential suite (`golden_differential.rs`)
-//! builds on the contracts pinned here.
+//! `SessionEngine::run` under each `BatchPolicy` composition and the
+//! typestate `Session` by hand — so it lives with the other batch-level
+//! suites rather than inside the crate. Legacy `SKINIT` sessions run
+//! outside the engine, through `LegacySea`. The golden differential
+//! suite (`golden_differential.rs`) builds on the contracts pinned here.
 
 use sea_core::engine::{rate_per_sec, speedup};
 use sea_core::{
-    BatchPolicy, ConcurrentJob, FnPal, JobResult, PalOutcome, RetryPolicy, SeaError,
+    BatchPolicy, ConcurrentJob, FnPal, JobResult, LegacySea, PalOutcome, RetryPolicy, SeaError,
     SecurePlatform, SessionEngine, SessionJournal, SessionReport, SessionResult, SessionTally,
-    Skinit, Slaunch, Stepped, JOURNAL_NV_INDEX,
+    Slaunch, Stepped, JOURNAL_NV_INDEX,
 };
 use sea_hw::{
     CpuId, FaultPlan, Platform, ResetPlan, SimDuration, TraceEvent, RATE_DENOM, RESET_REBOOT_COST,
@@ -515,47 +515,23 @@ fn typestate_kill_reclaims_the_session() {
 
 #[test]
 fn skinit_runs_the_legacy_lifecycle() {
-    let mut engine = SessionEngine::<Skinit>::new(platform(2), 1).unwrap();
-    let out = engine.run(jobs(3, 25), &BatchPolicy::plain()).unwrap();
-    assert_eq!(out.quoted(), 3);
-    for (i, s) in out.sessions.iter().enumerate() {
-        let r = quoted(s);
-        assert_eq!(r.output, vec![i as u8]);
-        assert!(r.quote_cost > SimDuration::ZERO);
+    // Legacy sessions run outside the engine, through `LegacySea`:
+    // `SKINIT` runs each PAL to completion, then the platform quotes
+    // its static PCRs.
+    let mut sea = LegacySea::new(platform(2)).unwrap();
+    for i in 0..3u8 {
+        let mut pal = FnPal::new(&format!("job-{i}"), move |ctx| {
+            ctx.work(SimDuration::from_us(25));
+            Ok(PalOutcome::Exit(vec![i]))
+        });
+        let done = sea.run_session(&mut pal, &[i]).unwrap();
+        assert_eq!(done.output, Some(vec![i]));
+        assert!(done.report.late_launch > SimDuration::ZERO);
+        let quote = sea.quote(&[i]).unwrap();
+        assert!(quote.elapsed > SimDuration::ZERO);
+        let aik = sea.platform().tpm().expect("tpm").aik_public();
+        assert!(quote.value.verify_signature(aik));
     }
-    assert_eq!(out.resets, 0);
-    assert_eq!(out.journal_overhead, SimDuration::ZERO);
-}
-
-#[test]
-fn skinit_caps_workers_at_one() {
-    // SKINIT monopolizes the platform: no concurrent sessions, so
-    // the worker cap is 1 regardless of CPU count.
-    assert!(matches!(
-        SessionEngine::<Skinit>::new(platform(4), 2),
-        Err(SeaError::NotEnoughCpus {
-            requested: 2,
-            available: 1
-        })
-    ));
-}
-
-#[test]
-fn skinit_rejects_durable_policies() {
-    let mut engine = SessionEngine::<Skinit>::new(platform(2), 1).unwrap();
-    let err = engine
-        .run(
-            jobs(2, 10),
-            &BatchPolicy::plain().with_durability(ResetPlan::reset_free()),
-        )
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        SeaError::PolicyUnsupported {
-            architecture: "skinit",
-            capability: "durable batches",
-        }
-    ));
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests of the hardware and protocol invariants: the
-//! memory controller's access-table state machine, the page allocator,
-//! PCR chain algebra, and the sePCR life cycle, all driven by random
-//! operation sequences decoded from the in-repo harness's tapes.
+//! memory controller's access-table state machine, `EnhancedSea`'s PAL
+//! region allocator, PCR chain algebra, and the sePCR life cycle, all
+//! driven by random operation sequences decoded from the in-repo
+//! harness's tapes.
 
 mod common;
 
@@ -10,7 +11,6 @@ use minimal_tcb::crypto::Sha1;
 use minimal_tcb::hw::{
     AccessKind, CpuId, MemoryController, PageAccess, PageIndex, PageRange, Requester,
 };
-use minimal_tcb::os::PageAllocator;
 use minimal_tcb::tpm::{PcrBank, PcrIndex, PcrValue, SePcrBank, SePcrState};
 
 const ARENA_PAGES: u32 = 64;
@@ -130,35 +130,68 @@ fn access_table_transitions_are_all_or_nothing() {
     });
 }
 
+/// DRAM pages above the OS image in the allocator property: room for a
+/// handful of PAL regions, so launches soon reuse released ones.
+const PAL_DRAM_PAGES: u32 = 40;
+
+/// Case count for the PAL-region property (one shared TPM keypair, so
+/// cases are cheap enough for twice [`TPM_CASES`]).
+const REGION_CASES: usize = 24;
+
 #[test]
 fn allocator_never_double_allocates() {
-    check("allocator_never_double_allocates", CASES, |t| {
-        let requests = t.vec(1, 20, |t| t.range(1, 10) as u32);
-        let free_mask = t.vec(1, 20, Tape::bool);
-        let mut alloc = PageAllocator::new(PageRange::new(PageIndex(100), ARENA_PAGES));
-        let mut live: Vec<PageRange> = Vec::new();
-        for (i, &req) in requests.iter().enumerate() {
-            if let Ok(r) = alloc.alloc(req) {
-                // Disjoint from all live allocations.
-                for other in &live {
-                    prop_assert!(!r.overlaps(other), "{} overlaps {}", r, other);
+    use minimal_tcb::core::{
+        EnhancedSea, FnPal, PalId, PalOutcome, PalStep, SeaError, SecurePlatform,
+    };
+    use minimal_tcb::hw::{Platform, PAGE_SIZE};
+    use minimal_tcb::tpm::{KeyStrength, Tpm};
+
+    // The OS image holds the low 64 pages; one TPM's keys serve every case.
+    let platform = Platform::recommended(2)
+        .with_mem_pages(64 + PAL_DRAM_PAGES)
+        .with_sepcr_count(64);
+    let tpm = Tpm::new(platform.tpm_kind, KeyStrength::Demo512, b"prop-regions");
+    check("allocator_never_double_allocates", REGION_CASES, |t| {
+        // (SLAUNCH or SKILL, image pages or victim, CPU)
+        let ops = t.vec(1, 40, |t| (t.bool(), t.range(0, 8), t.range(0, 2) as u16));
+        let mut sea =
+            EnhancedSea::new(SecurePlatform::with_tpm(platform.clone(), tpm.clone())).unwrap();
+        let dram = sea.platform().machine().memory().num_pages();
+        let mut live: Vec<(PalId, PageRange)> = Vec::new();
+        for (launch, n, cpu) in ops {
+            if !launch {
+                if !live.is_empty() {
+                    let (id, _) = live.swap_remove(n % live.len());
+                    sea.skill(id).map_err(|e| format!("SKILL failed: {e}"))?;
                 }
-                live.push(r);
+                continue;
             }
-            // Randomly free one.
-            if free_mask.get(i).copied().unwrap_or(false) && !live.is_empty() {
-                let r = live.swap_remove(i % live.len());
-                prop_assert!(alloc.free(r).is_ok());
+            let mut pal =
+                FnPal::new("region", |_| Ok(PalOutcome::Yield)).with_image_size(n * PAGE_SIZE);
+            let id = match sea.slaunch(&mut pal, b"", CpuId(cpu), None) {
+                Ok(id) => id,
+                Err(SeaError::RegionTooSmall { .. }) => continue,
+                Err(e) => return Err(format!("SLAUNCH of a {n}-page image failed: {e}")),
+            };
+            let region = sea.secb(id).unwrap().pages();
+            prop_assert!(
+                region.start.0 + region.count <= dram,
+                "{} ends past DRAM's {} pages",
+                region,
+                dram
+            );
+            for (_, other) in &live {
+                prop_assert!(
+                    !region.overlaps(other),
+                    "{} overlaps live {}",
+                    region,
+                    other
+                );
             }
-            // Conservation: live + free == arena.
-            let live_pages: u32 = live.iter().map(|r| r.count).sum();
-            prop_assert_eq!(live_pages + alloc.free_pages(), ARENA_PAGES);
+            // Suspended, the PAL frees its CPU and becomes SKILLable.
+            prop_assert_eq!(sea.step(&mut pal, id), Ok(PalStep::Yielded));
+            live.push((id, region));
         }
-        // Freeing everything restores a fully coalesced arena.
-        for r in live.drain(..) {
-            alloc.free(r).unwrap();
-        }
-        prop_assert_eq!(alloc.largest_free_run(), ARENA_PAGES);
         Ok(())
     });
 }
@@ -399,12 +432,14 @@ fn blob_and_quote_wire_formats_roundtrip() {
         prop_assert_eq!(&restored, &blob);
         prop_assert_eq!(tpm.unseal(&restored).unwrap().value, data);
 
-        let wire = tpm
+        let quote = tpm
             .quote(&nonce, &[PcrIndex(17), PcrIndex(0)])
             .unwrap()
             .value;
-        let received = Quote::from_bytes(wire.as_bytes()).unwrap();
-        prop_assert_eq!(&received.to_wire(), &wire);
+        let wire = quote.to_bytes();
+        let received = Quote::from_bytes(&wire).unwrap();
+        prop_assert_eq!(&received, &quote);
+        prop_assert_eq!(received.to_bytes(), wire);
         prop_assert!(received.verify_signature(tpm.aik_public()));
         Ok(())
     });

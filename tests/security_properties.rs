@@ -11,7 +11,7 @@ use minimal_tcb::hw::{
     CpuId, CpuVendor, DeviceId, HwError, Machine, PageRange, Platform, Requester, SimTime,
 };
 use minimal_tcb::os::{Adversary, AttackOutcome};
-use minimal_tcb::tpm::{KeyStrength, Locality, PcrIndex, Quote, ShardedTpmArbiter, TpmError};
+use minimal_tcb::tpm::{KeyStrength, Locality, PcrIndex, ShardedTpmArbiter, TpmError};
 
 fn enhanced_with_nic(seed: &[u8]) -> EnhancedSea {
     let platform = Platform::recommended(2);
@@ -242,14 +242,12 @@ fn quote_from_virtual_environment_fails_verification() {
     // Attacker-extends PCR 17 from the post-boot value.
     let digest = Sha1::digest(&image);
     sp.tpm_mut().unwrap().extend(PcrIndex(17), &digest).unwrap();
-    let quote = Quote::from_wire(
-        &sp.tpm_mut()
-            .unwrap()
-            .quote(b"nonce", &[PcrIndex(17)])
-            .unwrap()
-            .value,
-    )
-    .unwrap();
+    let quote = sp
+        .tpm_mut()
+        .unwrap()
+        .quote(b"nonce", &[PcrIndex(17)])
+        .unwrap()
+        .value;
     let verifier = Verifier::new(sp.tpm().unwrap().aik_public().clone());
     assert_eq!(
         verifier.verify_legacy_quote(&quote, b"nonce", &image, CpuVendor::Amd, &[]),

@@ -257,7 +257,7 @@ fn adversarial_degraded_and_killed_sessions_reject_typed() {
         .sepcr_quote(handle, &nonce(0))
         .expect("quote")
         .value
-        .into_bytes();
+        .to_bytes();
     v.challenge(3, &nonce(0), 0);
     let r = v.verify(3, &branded, 0);
     assert_eq!(r.result.unwrap_err(), RejectReason::PalKilled);
@@ -268,7 +268,7 @@ fn adversarial_degraded_and_killed_sessions_reject_typed() {
         .quote(&nonce(1), &[PcrIndex(17)])
         .expect("pcr quote")
         .value
-        .into_bytes();
+        .to_bytes();
     v.challenge(3, &nonce(1), 0);
     let r = v.verify(3, &legacy, 0);
     assert_eq!(r.result.unwrap_err(), RejectReason::WrongSource);
