@@ -5,7 +5,7 @@
 //! host's core count — this backend replaces threads with *virtual
 //! CPUs* stepped by a deterministic event queue
 //! ([`sea_hw::EventQueue`]). Each event advances one session by exactly
-//! one architecture operation ([`SessionDriver::advance`]); the
+//! one session operation ([`SessionDriver::advance`]); the
 //! operation's machine-clock charge (plus any CPU-local retry backoff)
 //! becomes the virtual-time gap to the session's next event. Ordering
 //! is structural, not lock-enforced:
@@ -16,7 +16,7 @@
 //!   ([`ShardedTpmArbiter`], whose grant order `sea-tpm` pins to a
 //!   recorded reference stream): a quote occupies the TPM for its
 //!   virtual duration, contending quotes are granted by `(request
-//!   time, CPU)` instead of by whichever OS thread takes the runtime
+//!   time, CPU)` instead of by whichever OS thread takes the engine
 //!   lock first, and each grant carries its request stamp so the
 //!   queueing delay is charged to `tpm.gate` lock-wait;
 //! * journal commit gates run at the committing session's terminal
@@ -36,9 +36,8 @@ use sea_hw::{CpuId, EventQueue, Layer, Obs, SimDuration, SimTime};
 use sea_tpm::ShardedTpmArbiter;
 
 use crate::driver::{DriveStep, SessionDriver};
-use crate::engine::{Architecture, Attempt, ConcurrentJob, WorkerMode};
+use crate::engine::{Attempt, ConcurrentJob, RuntimeLock, WorkerMode};
 use crate::error::SeaError;
-use crate::locks::{lock, OrderedLock};
 
 /// One scheduled cause on the virtual timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +54,9 @@ enum Ev {
 
 /// Per-virtual-CPU state: the jobs still queued, the session in
 /// flight, and the busy time of the sessions already finished.
-struct VirtualCpu<A: Architecture> {
+struct VirtualCpu {
     queue: VecDeque<(usize, ConcurrentJob)>,
-    current: Option<SessionDriver<A>>,
+    current: Option<SessionDriver>,
     busy: SimDuration,
 }
 
@@ -65,15 +64,15 @@ struct VirtualCpu<A: Architecture> {
 /// event queue. Same contract as the thread-pool
 /// [`crate::threadpool::run_epoch`]: per-job attempts indexed by job,
 /// plus each virtual CPU's busy time.
-pub(crate) fn run_epoch<A: Architecture>(
+pub(crate) fn run_epoch(
     workers: usize,
     n_jobs: usize,
     pending: Vec<(usize, ConcurrentJob)>,
-    rt: &OrderedLock<A::Runtime>,
+    rt: &RuntimeLock,
     obs: &Obs,
-    mode: WorkerMode<'_>,
+    mode: WorkerMode,
 ) -> Result<(Vec<Option<Attempt>>, Vec<SimDuration>), SeaError> {
-    let mut cpus: Vec<VirtualCpu<A>> = (0..workers)
+    let mut cpus: Vec<VirtualCpu> = (0..workers)
         .map(|_| VirtualCpu {
             queue: VecDeque::new(),
             current: None,
@@ -100,8 +99,8 @@ pub(crate) fn run_epoch<A: Architecture>(
     }
 
     /// Machine-clock reading for op-duration measurement.
-    fn machine_now<A: Architecture>(rt: &OrderedLock<A::Runtime>) -> SimTime {
-        A::platform(&lock(rt)).machine().now()
+    fn machine_now(rt: &RuntimeLock) -> SimTime {
+        rt.lock().sea.platform().machine().now()
     }
 
     while let Some(event) = events.pop() {
@@ -111,7 +110,7 @@ pub(crate) fn run_epoch<A: Architecture>(
                 let Some((i, job)) = cpus[cpu].queue.pop_front() else {
                     continue;
                 };
-                match mode.start::<A>(i, CpuId(cpu as u16), job) {
+                match mode.start(rt, i, CpuId(cpu as u16), job) {
                     Ok(driver) => {
                         cpus[cpu].current = Some(driver);
                         events.schedule(t, i as u64, Ev::Op { cpu });
@@ -127,11 +126,13 @@ pub(crate) fn run_epoch<A: Architecture>(
 
             Ev::Op { cpu } => {
                 let cpu_id = CpuId(cpu as u16);
-                let index = match &cpus[cpu].current {
-                    Some(driver) => driver.index(),
-                    None => continue,
+                // The driver leaves its slot for the op and goes back on
+                // every path that does not end the session.
+                let Some(mut driver) = cpus[cpu].current.take() else {
+                    continue;
                 };
-                let gated = cpus[cpu].current.as_ref().is_some_and(|d| d.needs_tpm());
+                let index = driver.index();
+                let gated = driver.needs_tpm();
                 if gated && tpm_gate.holder() != Some(cpu_id) {
                     // Arbitrate: file the request at this event's time;
                     // if the TPM is free the best-stamped waiter wins.
@@ -142,30 +143,31 @@ pub(crate) fn run_epoch<A: Architecture>(
                             // Another CPU's earlier request wins; run
                             // its pending command now. Ours stays
                             // queued for a later grant.
+                            cpus[cpu].current = Some(driver);
                             let w = winner.cpu.0 as usize;
                             if let Some(d) = &cpus[w].current {
                                 events.schedule(t, d.index() as u64, Ev::Op { cpu: w });
                             }
                             continue;
                         }
-                        None => continue, // held: wait for the release
+                        None => {
+                            // Held: wait for the release.
+                            cpus[cpu].current = Some(driver);
+                            continue;
+                        }
                     }
                 }
 
-                let before = machine_now::<A>(rt);
-                let step = cpus[cpu]
-                    .current
-                    .as_mut()
-                    .expect("op event only fires with a session in flight")
-                    .advance(rt, obs, mode.journal());
-                let elapsed = machine_now::<A>(rt).duration_since(before);
+                let before = machine_now(rt);
+                let step = driver.advance(rt, obs);
+                let elapsed = machine_now(rt).duration_since(before);
                 let local = match &step {
                     DriveStep::Running { local_cost } => *local_cost,
                     DriveStep::Terminal(_) => SimDuration::ZERO,
                 };
                 let done_at = t + elapsed + local;
                 // Contention attribution, in virtual time: every op
-                // holds the runtime lock for its machine-clock charge.
+                // holds the engine lock for its machine-clock charge.
                 // (Lock stats live outside the snapshot — see
                 // `sea_hw::RecordingSink::lock_stats` — so this cannot
                 // perturb snapshot parity with the thread pool, whose
@@ -190,14 +192,13 @@ pub(crate) fn run_epoch<A: Architecture>(
 
                 match step {
                     DriveStep::Running { .. } => {
+                        cpus[cpu].current = Some(driver);
                         events.schedule(done_at, index as u64, Ev::Op { cpu });
                     }
                     DriveStep::Terminal(result) => {
-                        let driver = cpus[cpu].current.take().expect("terminal session exists");
-                        let i = driver.index();
                         let (attempt, busy) = mode.finish(rt, obs, driver, result)?;
                         cpus[cpu].busy += busy;
-                        attempts[i] = Some(attempt);
+                        attempts[index] = Some(attempt);
                         if let Some(&(next, _)) = cpus[cpu].queue.front() {
                             events.schedule(done_at, next as u64, Ev::Start { cpu });
                         }

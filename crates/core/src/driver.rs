@@ -2,14 +2,15 @@
 //!
 //! The retired `drive_plain`/`drive_recovered` functions walked a job
 //! through its lifecycle with nested loops, which only a dedicated OS
-//! thread could execute: the control state between two architecture
+//! thread could execute: the control state between two session
 //! operations lived on that thread's stack. [`SessionDriver`] reifies
 //! that control state as an explicit machine over the same typestate
 //! lifecycle (`Launched → Stepping → Sealed`, Figure 6), advanced **one
-//! architecture operation per call** — which is exactly the granularity
-//! a discrete-event executor needs to interleave many sessions on one
-//! OS thread, and which the thread-pool executor simply drives in a
-//! tight loop.
+//! session operation per call** — which is exactly the granularity a
+//! discrete-event executor needs to interleave many sessions on one OS
+//! thread, and which the thread-pool executor simply drives in a tight
+//! loop. Each operation is one call into [`crate::EnhancedSea`]'s keyed
+//! lifecycle under one hold of the engine lock.
 //!
 //! The operation order is the contract: launch (retrying in place, or
 //! degrading on saturation) → step/resume to exit (a faulted resume
@@ -22,11 +23,9 @@
 use sea_hw::{CpuId, Layer, Obs, SimDuration, TraceEvent, TRANSPORT_FAULT_COST};
 use sea_tpm::TpmError;
 
-use crate::engine::{Architecture, ConcurrentJob, JobResult, SessionResult};
-use crate::enhanced::PalStep;
+use crate::engine::{ConcurrentJob, JobResult, RuntimeLock, SessionResult};
+use crate::enhanced::{PalId, PalStep};
 use crate::error::SeaError;
-use crate::journal::SessionJournal;
-use crate::locks::{lock, OrderedLock};
 use crate::recovery::RetryPolicy;
 use crate::report::SessionReport;
 
@@ -59,30 +58,18 @@ fn killed(index: usize, retries: u32, error: SeaError, wasted: SimDuration) -> S
 /// the [`TraceEvent::SessionRetried`] record mutates shared state and
 /// still serializes on it. (Backoff burns CPU-local time, never the
 /// shared machine clock, so it is not a `Machine::charge`.)
-fn record_retry<A: Architecture>(
-    rt: &OrderedLock<A::Runtime>,
-    obs: &Obs,
-    key: u64,
-    attempt: u32,
-    backoff: SimDuration,
-) {
+fn record_retry(rt: &RuntimeLock, obs: &Obs, key: u64, attempt: u32, backoff: SimDuration) {
     obs.leaf_on(key, Layer::Core, "recovery.backoff", backoff);
     obs.add("core.retries", 1);
-    let mut guard = lock(rt);
-    let machine = A::platform_mut(&mut guard).machine_mut();
-    let now = machine.now();
-    machine.trace_mut().record(
-        now,
-        TraceEvent::SessionRetried {
-            session: key,
-            attempt,
-        },
-    );
+    rt.lock().sea.record(TraceEvent::SessionRetried {
+        session: key,
+        attempt,
+    });
 }
 
 /// What one [`SessionDriver::advance`] call did.
 pub(crate) enum DriveStep {
-    /// One architecture operation executed; the session continues.
+    /// One session operation executed; the session continues.
     /// `local_cost` is the CPU-local virtual time the operation charged
     /// outside the shared machine clock (fault handling + retry
     /// backoff; zero on clean operations) — the discrete-event executor
@@ -96,44 +83,60 @@ pub(crate) enum DriveStep {
     Terminal(Result<SessionResult, SeaError>),
 }
 
+/// A clean operation: the session continues at no CPU-local cost.
+const CLEAN: DriveStep = DriveStep::Running {
+    local_cost: SimDuration::ZERO,
+};
+
 /// Lifecycle position between two operations. Mirrors the typestate
 /// stages ([`crate::engine::Launched`] / [`crate::engine::Stepping`] /
 /// [`crate::engine::Sealed`]) as runtime data, because a recovery
 /// driver must be able to *re-enter* the same stage after a faulted
 /// transition — which a move-based typestate cannot express without
-/// giving the handle back on error.
-enum Phase<A: Architecture> {
+/// giving the handle back on error. The exited session's output and
+/// report travel in the phases that need them.
+enum Phase {
     /// Awaiting (or retrying) the launch.
     Launch,
     /// Launched: awaiting a step.
-    Step(A::Live),
+    Step(PalId),
     /// Yielded: awaiting (or retrying) the resume.
-    Resume(A::Live),
-    /// Exited: awaiting the cost report.
-    Report(A::Live),
+    Resume(PalId),
+    /// Exited with `output`: awaiting the cost report.
+    Report {
+        /// The exited session.
+        live: PalId,
+        /// The PAL's output.
+        output: Vec<u8>,
+    },
     /// Reported: awaiting (or retrying) the attestation.
-    Quote(A::Live),
+    Quote {
+        /// The exited session.
+        live: PalId,
+        /// The PAL's output.
+        output: Vec<u8>,
+        /// The session's cost breakdown.
+        report: SessionReport,
+    },
     /// Terminal already returned.
     Done,
 }
 
 /// One job's drive through the session lifecycle, advanced one
-/// architecture operation at a time.
-pub(crate) struct SessionDriver<A: Architecture> {
+/// session operation at a time.
+pub(crate) struct SessionDriver {
     index: usize,
     cpu: CpuId,
     job: ConcurrentJob,
     /// `Some` ⇒ keyed (recovered) driving with this retry policy;
     /// `None` ⇒ the plain fast path (unkeyed, errors surface).
     policy: Option<RetryPolicy>,
-    phase: Phase<A>,
+    phase: Phase,
     retries: u32,
     recovery_cost: SimDuration,
-    output: Vec<u8>,
-    report: Option<SessionReport>,
 }
 
-impl<A: Architecture> SessionDriver<A> {
+impl SessionDriver {
     /// A driver at the launch edge for batch job `index` on `cpu`.
     pub(crate) fn new(
         index: usize,
@@ -149,8 +152,6 @@ impl<A: Architecture> SessionDriver<A> {
             phase: Phase::Launch,
             retries: 0,
             recovery_cost: SimDuration::ZERO,
-            output: Vec::new(),
-            report: None,
         }
     }
 
@@ -164,7 +165,7 @@ impl<A: Architecture> SessionDriver<A> {
     /// discrete-event executor arbitrates these through its TPM arbiter
     /// instead of running them back to back.
     pub(crate) fn needs_tpm(&self) -> bool {
-        matches!(self.phase, Phase::Quote(_))
+        matches!(self.phase, Phase::Quote { .. })
     }
 
     /// Reclaims the job (for relaunch after a torn epoch). Only
@@ -173,30 +174,25 @@ impl<A: Architecture> SessionDriver<A> {
         self.job
     }
 
-    fn key(&self) -> Option<u64> {
-        self.policy.map(|_| self.index as u64)
-    }
-
-    /// Applies the retry policy to one failed attempt. On a retryable
-    /// error with budget left: consumes a retry, charges the
-    /// fault-handling cost plus backoff, records the retry, and returns
+    /// Applies `policy` to one failed attempt. On a retryable error
+    /// with budget left: consumes a retry, charges the fault-handling
+    /// cost plus backoff, records the retry, and returns
     /// `Some(local_cost)` (caller stays in the same phase). Otherwise
     /// charges the handling cost and returns `None` (caller kills the
     /// session).
     fn try_absorb(
         &mut self,
-        rt: &OrderedLock<A::Runtime>,
+        policy: RetryPolicy,
+        rt: &RuntimeLock,
         obs: &Obs,
         error: &SeaError,
     ) -> Option<SimDuration> {
-        let policy = self.policy.expect("absorb only runs on keyed drives");
-        let key = self.index as u64;
         if policy.is_retryable(error) && self.retries < policy.max_retries() {
             self.retries += 1;
             let backoff = policy.backoff_for(self.retries);
             let local = fault_handling_cost(error) + backoff;
             self.recovery_cost += local;
-            record_retry::<A>(rt, obs, key, self.retries, backoff);
+            record_retry(rt, obs, self.index as u64, self.retries, backoff);
             Some(local)
         } else {
             self.recovery_cost += fault_handling_cost(error);
@@ -204,77 +200,69 @@ impl<A: Architecture> SessionDriver<A> {
         }
     }
 
-    /// Kills the live session and returns the in-band death record (or
-    /// the kill's own infrastructure error).
-    fn kill_and_finish(
+    /// Handles a failed operation on the live session `live`. The plain
+    /// fast path surfaces the error. A recovered drive re-enters `retry`
+    /// (the same phase) while its budget lasts, and otherwise kills the
+    /// session and returns the in-band death record (or the kill's own
+    /// infrastructure error).
+    fn fault(
         &mut self,
-        rt: &OrderedLock<A::Runtime>,
-        mut live: A::Live,
+        rt: &RuntimeLock,
+        obs: &Obs,
+        live: PalId,
         error: SeaError,
+        retry: Phase,
     ) -> DriveStep {
-        let key = self.index as u64;
-        if let Err(e) = A::kill(rt, &mut live, key) {
-            return DriveStep::Terminal(Err(e));
+        let Some(policy) = self.policy else {
+            return DriveStep::Terminal(Err(error));
+        };
+        if let Some(local_cost) = self.try_absorb(policy, rt, obs, &error) {
+            self.phase = retry;
+            return DriveStep::Running { local_cost };
         }
-        DriveStep::Terminal(Ok(killed(
-            self.index,
-            self.retries,
-            error,
-            self.recovery_cost,
-        )))
+        let kill = rt.lock().sea.kill_session(live, self.index as u64);
+        DriveStep::Terminal(
+            kill.map(|()| killed(self.index, self.retries, error, self.recovery_cost)),
+        )
     }
 
-    /// Executes exactly one architecture operation and moves the
-    /// machine to its next phase.
-    ///
-    /// `journal` is `Some` exactly in the durable mode; it receives the
-    /// write-ahead `launched` record in the same advance as the
-    /// successful launch.
-    pub(crate) fn advance(
-        &mut self,
-        rt: &OrderedLock<A::Runtime>,
-        obs: &Obs,
-        journal: Option<&OrderedLock<SessionJournal>>,
-    ) -> DriveStep {
-        let key = self.key();
+    /// Executes exactly one session operation and moves the machine to
+    /// its next phase, taking the engine lock once per operation. In a
+    /// durable batch the write-ahead `launched` record is written under
+    /// the same lock hold as the successful launch.
+    pub(crate) fn advance(&mut self, rt: &RuntimeLock, obs: &Obs) -> DriveStep {
+        let key = self.policy.map(|_| self.index as u64);
         match std::mem::replace(&mut self.phase, Phase::Done) {
             Phase::Launch => {
-                let error =
-                    match A::launch(rt, &mut *self.job.logic, &self.job.input, self.cpu, key) {
-                        Ok(live) => {
-                            if let Some(journal) = journal {
-                                lock(journal).record_launched(self.index as u64);
-                            }
-                            self.phase = Phase::Step(live);
-                            return DriveStep::Running {
-                                local_cost: SimDuration::ZERO,
-                            };
-                        }
-                        Err(e) => e,
-                    };
-                if key.is_none() {
+                let logic = &mut *self.job.logic;
+                let launched = rt.lock().launch(logic, &self.job.input, self.cpu, key);
+                let error = match launched {
+                    Ok(live) => {
+                        self.phase = Phase::Step(live);
+                        return CLEAN;
+                    }
+                    Err(e) => e,
+                };
+                let Some(policy) = self.policy else {
                     // Plain fast path: errors surface to the batch.
                     return DriveStep::Terminal(Err(error));
-                }
+                };
                 if RetryPolicy::is_saturation(&error) {
                     // Graceful degradation: the session bank is full,
                     // not faulty.
-                    let degraded = A::degrade(
-                        rt,
+                    let degraded = rt.lock().sea.fallback_keyed(
                         &mut *self.job.logic,
                         &self.job.input,
                         self.cpu,
                         self.index as u64,
                     );
-                    return DriveStep::Terminal(degraded.map(|(output, report)| {
-                        SessionResult::Degraded {
-                            job: self.index,
-                            output,
-                            report,
-                        }
+                    return DriveStep::Terminal(degraded.map(|done| SessionResult::Degraded {
+                        job: self.index,
+                        output: done.output,
+                        report: done.report,
                     }));
                 }
-                if let Some(local_cost) = self.try_absorb(rt, obs, &error) {
+                if let Some(local_cost) = self.try_absorb(policy, rt, obs, &error) {
                     self.phase = Phase::Launch;
                     return DriveStep::Running { local_cost };
                 }
@@ -282,17 +270,9 @@ impl<A: Architecture> SessionDriver<A> {
                 // pages back — but the death is still a recovery
                 // decision, so the trace pairs the injected fault with
                 // a kill like every other path.
-                {
-                    let mut guard = lock(rt);
-                    let machine = A::platform_mut(&mut guard).machine_mut();
-                    let now = machine.now();
-                    machine.trace_mut().record(
-                        now,
-                        TraceEvent::SessionKilled {
-                            session: self.index as u64,
-                        },
-                    );
-                }
+                rt.lock().sea.record(TraceEvent::SessionKilled {
+                    session: self.index as u64,
+                });
                 DriveStep::Terminal(Ok(killed(
                     self.index,
                     self.retries,
@@ -301,71 +281,66 @@ impl<A: Architecture> SessionDriver<A> {
                 )))
             }
 
-            Phase::Step(mut live) => match A::step(rt, &mut live, &mut *self.job.logic, key) {
-                Ok(PalStep::Exited { output }) => {
-                    self.output = output;
-                    self.phase = Phase::Report(live);
-                    DriveStep::Running {
-                        local_cost: SimDuration::ZERO,
+            Phase::Step(live) => {
+                let step = rt.lock().sea.step_keyed(&mut *self.job.logic, live, key);
+                match step {
+                    Ok(PalStep::Exited { output }) => {
+                        self.phase = Phase::Report { live, output };
+                        CLEAN
                     }
-                }
-                Ok(PalStep::Yielded) => {
-                    self.phase = Phase::Resume(live);
-                    DriveStep::Running {
-                        local_cost: SimDuration::ZERO,
+                    Ok(PalStep::Yielded) => {
+                        self.phase = Phase::Resume(live);
+                        CLEAN
                     }
+                    Err(error) => self.fault(rt, obs, live, error, Phase::Step(live)),
                 }
-                Err(error) if key.is_none() => DriveStep::Terminal(Err(error)),
-                Err(error) => {
-                    if let Some(local_cost) = self.try_absorb(rt, obs, &error) {
-                        self.phase = Phase::Step(live);
-                        return DriveStep::Running { local_cost };
-                    }
-                    self.kill_and_finish(rt, live, error)
-                }
-            },
+            }
 
-            Phase::Resume(mut live) => match A::resume(rt, &mut live, self.cpu, key) {
-                Ok(()) => {
-                    self.phase = Phase::Step(live);
-                    DriveStep::Running {
-                        local_cost: SimDuration::ZERO,
+            Phase::Resume(live) => {
+                let resumed = rt.lock().sea.resume_keyed(live, self.cpu, key);
+                match resumed {
+                    Ok(()) => {
+                        self.phase = Phase::Step(live);
+                        CLEAN
                     }
-                }
-                Err(error) if key.is_none() => DriveStep::Terminal(Err(error)),
-                Err(error) => {
                     // A faulted resume retries in place: the SECB stays
                     // `Suspend`.
-                    if let Some(local_cost) = self.try_absorb(rt, obs, &error) {
-                        self.phase = Phase::Resume(live);
-                        return DriveStep::Running { local_cost };
-                    }
-                    self.kill_and_finish(rt, live, error)
+                    Err(error) => self.fault(rt, obs, live, error, Phase::Resume(live)),
                 }
-            },
+            }
 
-            Phase::Report(live) => match A::report(rt, &live) {
-                Ok(report) => {
-                    self.report = Some(report);
-                    self.phase = Phase::Quote(live);
-                    DriveStep::Running {
-                        local_cost: SimDuration::ZERO,
+            Phase::Report { live, output } => {
+                let report = rt.lock().sea.report(live);
+                match report {
+                    Ok(report) => {
+                        self.phase = Phase::Quote {
+                            live,
+                            output,
+                            report,
+                        };
+                        CLEAN
                     }
+                    // Both modes surface report failures: the session
+                    // exited, so this is infrastructure, not a fault
+                    // roll.
+                    Err(error) => DriveStep::Terminal(Err(error)),
                 }
-                // Both modes surface report failures: the session
-                // exited, so this is infrastructure, not a fault roll.
-                Err(error) => DriveStep::Terminal(Err(error)),
-            },
+            }
 
-            Phase::Quote(mut live) => {
+            Phase::Quote {
+                live,
+                output,
+                report,
+            } => {
                 // Deterministic per-job nonce: ties the quote to the
                 // batch index.
                 let nonce = (self.index as u64).to_le_bytes();
-                match A::quote(rt, &mut live, &nonce, key) {
+                let quoted = rt.lock().sea.quote_and_free_keyed(live, &nonce, key);
+                match quoted {
                     Ok(quote) => DriveStep::Terminal(Ok(SessionResult::Quoted {
                         result: JobResult {
-                            output: std::mem::take(&mut self.output),
-                            report: self.report.take().expect("report precedes quote"),
+                            output,
+                            report,
                             quote_cost: quote.elapsed,
                             cpu: self.cpu,
                         },
@@ -373,17 +348,16 @@ impl<A: Architecture> SessionDriver<A> {
                         retries: self.retries,
                         recovery_cost: self.recovery_cost,
                     })),
-                    Err(error) if key.is_none() => DriveStep::Terminal(Err(error)),
+                    // A faulted quote leaves the sePCR in the Quote
+                    // state, so it can be retried; on exhaustion the
+                    // kill path frees the slot without an attestation.
                     Err(error) => {
-                        // A faulted quote leaves the sePCR in the Quote
-                        // state, so it can be retried; on exhaustion
-                        // the kill path frees the slot without an
-                        // attestation.
-                        if let Some(local_cost) = self.try_absorb(rt, obs, &error) {
-                            self.phase = Phase::Quote(live);
-                            return DriveStep::Running { local_cost };
-                        }
-                        self.kill_and_finish(rt, live, error)
+                        let retry = Phase::Quote {
+                            live,
+                            output,
+                            report,
+                        };
+                        self.fault(rt, obs, live, error, retry)
                     }
                 }
             }
@@ -398,12 +372,11 @@ impl<A: Architecture> SessionDriver<A> {
     /// executor's whole-job loop).
     pub(crate) fn run_to_terminal(
         &mut self,
-        rt: &OrderedLock<A::Runtime>,
+        rt: &RuntimeLock,
         obs: &Obs,
-        journal: Option<&OrderedLock<SessionJournal>>,
     ) -> Result<SessionResult, SeaError> {
         loop {
-            if let DriveStep::Terminal(result) = self.advance(rt, obs, journal) {
+            if let DriveStep::Terminal(result) = self.advance(rt, obs) {
                 return result;
             }
         }

@@ -2,22 +2,20 @@
 //! lifecycle (§5, Figure 6), with batch behavior composed from policy
 //! objects. This module encodes the lifecycle in the type system:
 //!
-//! * [`Architecture`] is the hardware binding the lifecycle runs on.
-//!   [`Slaunch`] (the proposed hardware: `SYIELD`/resume, sePCR-bound
-//!   quotes, `SKILL`) is its one implementation; legacy `SKINIT`
-//!   sessions run through [`LegacySea`](crate::LegacySea) and
-//!   `sea_os::LegacyBatch` instead. The trait and the engine's type
-//!   parameter remain because callers name `SessionEngine<Slaunch>`.
 //! * [`Session`] is a typestate handle walking `Launched → Stepping →
 //!   Sealed`; the terminal outcomes (`Quoted`/`Killed`/`Degraded`) are
 //!   the [`SessionResult`] variants. Illegal transitions (resuming an
 //!   exited PAL, quoting a live one) do not compile.
-//! * [`SessionEngine`] is the one batch executor. Its behavior is
-//!   composed from a [`BatchPolicy`]: add a [`RetryPolicy`] for
-//!   bounded fault recovery, add a [`ResetPlan`] for crash-consistent
-//!   durability (write-ahead [`SessionJournal`] sealed into TPM
-//!   NVRAM), pick a worker count for concurrency. Every combination
-//!   returns the same [`BatchOutcome`].
+//! * [`SessionEngine`] is the one batch executor. It drives an
+//!   [`EnhancedSea`] directly; its type parameter is the [`Slaunch`]
+//!   marker, kept because callers name `SessionEngine<Slaunch>`. Legacy
+//!   `SKINIT` sessions run through [`LegacySea`](crate::LegacySea) and
+//!   `sea_os::LegacyBatch` instead. The engine's behavior is composed
+//!   from a [`BatchPolicy`]: add a [`RetryPolicy`] for bounded fault
+//!   recovery, add a [`ResetPlan`] for crash-consistent durability
+//!   (write-ahead [`SessionJournal`] sealed into TPM NVRAM), pick a
+//!   worker count for concurrency. Every combination returns the same
+//!   [`BatchOutcome`].
 //!
 //! # Executors
 //!
@@ -45,27 +43,32 @@
 //! (`tests/golden_differential.rs`, `tests/executor_differential.rs`)
 //! pin the two backends against each other.
 //!
-//! # Lock scope
+//! # The engine lock
 //!
-//! The shared runtime is locked **per operation**, never per job, and
-//! the hot path keeps obs emission for retries *outside* the engine
-//! lock: a retry's `recovery.backoff` leaf lands on the session's own
-//! track (owned by exactly one worker, ordered by a per-track
-//! sequence) and counters are order-insensitive, so neither needs the
-//! lock. Only shared-state mutations — trace records, journal commit
-//! gates, `PLATFORM_TRACK` spans — still serialize on it.
+//! One mutex guards the shared [`EnhancedSea`] and, while a durable
+//! batch runs, that batch's epoch state: the journal, the reset
+//! triggers, the seal-time total, the crash flag and the group-commit
+//! counter. Every batch sets that state at its start (`None` when the
+//! batch is not durable), so an aborted batch cannot leak into the
+//! next. The lock is taken **per operation**, never per job, and never
+//! nested; the plain path takes it exactly once per session operation.
+//! The hot path keeps obs emission for retries *outside* it: a retry's
+//! `recovery.backoff` leaf lands on the session's own track (owned by
+//! exactly one worker, ordered by a per-track sequence) and counters
+//! are order-insensitive, so neither needs the lock. Only shared-state
+//! mutations — trace records, journal commit gates, `PLATFORM_TRACK`
+//! spans — serialize on it.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sea_hw::{CpuId, FaultPlan, Layer, Obs, ResetPlan, SimDuration, TraceEvent, PLATFORM_TRACK};
-use sea_tpm::{Quote, SealedBlob, Timed};
+use sea_tpm::{Quote, SealedBlob};
 
 use crate::driver::SessionDriver;
 use crate::enhanced::{EnhancedSea, PalId, PalStep};
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
-use crate::locks::{lock, LockRank, OrderedLock};
 use crate::pal::PalLogic;
 use crate::platform::SecurePlatform;
 use crate::recovery::RetryPolicy;
@@ -271,206 +274,13 @@ impl SessionTally {
     }
 }
 
-/// A hardware binding for the unified session lifecycle.
-///
-/// The engine drives the lifecycle through the same sequence — launch,
-/// step/resume to exit, report, quote — and the architecture maps each
-/// step onto its primitives; [`Slaunch`] is the one implementation.
-/// Operations take the runtime behind an [`OrderedLock`] and lock it
-/// **per operation**, so concurrent sessions genuinely interleave on a
-/// shared runtime.
-///
-/// `key` is `Some` when the recovery layer drives the session (keyed
-/// operations roll injected faults and pin obs tracks) and `None` on
-/// the plain fast path.
-pub trait Architecture: Send + Sync + 'static {
-    /// The shared engine state (one per platform).
-    type Runtime: Send;
-    /// Handle to one live session.
-    type Live: Send;
-
-    /// Boots the runtime on `platform`.
-    fn boot(platform: SecurePlatform) -> Result<Self::Runtime, SeaError>;
-
-    /// Installs (or clears) a deterministic fault plan.
-    fn set_fault_plan(rt: &mut Self::Runtime, plan: Option<FaultPlan>);
-
-    /// The underlying platform.
-    fn platform(rt: &Self::Runtime) -> &SecurePlatform;
-
-    /// The underlying platform, mutably.
-    fn platform_mut(rt: &mut Self::Runtime) -> &mut SecurePlatform;
-
-    /// Reboots the platform after a power loss, returning the virtual
-    /// reboot cost. Only durable batches reach it.
-    fn power_cycle(rt: &mut Self::Runtime) -> SimDuration;
-
-    /// Launches a session for `logic` on `cpu`.
-    fn launch(
-        rt: &OrderedLock<Self::Runtime>,
-        logic: &mut dyn PalLogic,
-        input: &[u8],
-        cpu: CpuId,
-        key: Option<u64>,
-    ) -> Result<Self::Live, SeaError>;
-
-    /// Runs the session until it yields or exits.
-    fn step(
-        rt: &OrderedLock<Self::Runtime>,
-        live: &mut Self::Live,
-        logic: &mut dyn PalLogic,
-        key: Option<u64>,
-    ) -> Result<PalStep, SeaError>;
-
-    /// Resumes a yielded session on `cpu`.
-    fn resume(
-        rt: &OrderedLock<Self::Runtime>,
-        live: &mut Self::Live,
-        cpu: CpuId,
-        key: Option<u64>,
-    ) -> Result<(), SeaError>;
-
-    /// The exited session's cost breakdown.
-    fn report(
-        rt: &OrderedLock<Self::Runtime>,
-        live: &Self::Live,
-    ) -> Result<SessionReport, SeaError>;
-
-    /// Attests the exited session over `nonce` and retires it.
-    fn quote(
-        rt: &OrderedLock<Self::Runtime>,
-        live: &mut Self::Live,
-        nonce: &[u8],
-        key: Option<u64>,
-    ) -> Result<Timed<Quote>, SeaError>;
-
-    /// Tears a session down mid-flight, reclaiming its resources.
-    fn kill(
-        rt: &OrderedLock<Self::Runtime>,
-        live: &mut Self::Live,
-        key: u64,
-    ) -> Result<(), SeaError>;
-
-    /// Runs `logic` to completion on the architecture's degraded slow
-    /// path (no per-session attestation) when its session slots
-    /// saturate.
-    fn degrade(
-        rt: &OrderedLock<Self::Runtime>,
-        logic: &mut dyn PalLogic,
-        input: &[u8],
-        cpu: CpuId,
-        key: u64,
-    ) -> Result<(Vec<u8>, SessionReport), SeaError>;
-}
-
 /// The paper's recommended hardware (§5): `SLAUNCH` over an
 /// [`EnhancedSea`] runtime — suspendable sessions, sePCR-bound quotes,
 /// `SKILL` teardown, graceful degradation to the legacy slow path on
-/// sePCR saturation.
+/// sePCR saturation. A marker only: it names [`SessionEngine`]'s type
+/// parameter, and the engine drives [`EnhancedSea`] directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Slaunch;
-
-impl Architecture for Slaunch {
-    type Runtime = EnhancedSea;
-    type Live = PalId;
-
-    fn boot(platform: SecurePlatform) -> Result<EnhancedSea, SeaError> {
-        EnhancedSea::new(platform)
-    }
-
-    fn set_fault_plan(rt: &mut EnhancedSea, plan: Option<FaultPlan>) {
-        rt.set_fault_plan(plan);
-    }
-
-    fn platform(rt: &EnhancedSea) -> &SecurePlatform {
-        rt.platform()
-    }
-
-    fn platform_mut(rt: &mut EnhancedSea) -> &mut SecurePlatform {
-        rt.platform_mut()
-    }
-
-    fn power_cycle(rt: &mut EnhancedSea) -> SimDuration {
-        rt.power_cycle()
-    }
-
-    fn launch(
-        rt: &OrderedLock<EnhancedSea>,
-        logic: &mut dyn PalLogic,
-        input: &[u8],
-        cpu: CpuId,
-        key: Option<u64>,
-    ) -> Result<PalId, SeaError> {
-        match key {
-            None => lock(rt).slaunch(logic, input, cpu, None),
-            Some(key) => lock(rt).slaunch_keyed(logic, input, cpu, None, key),
-        }
-    }
-
-    fn step(
-        rt: &OrderedLock<EnhancedSea>,
-        live: &mut PalId,
-        logic: &mut dyn PalLogic,
-        key: Option<u64>,
-    ) -> Result<PalStep, SeaError> {
-        match key {
-            None => lock(rt).step(logic, *live),
-            Some(key) => lock(rt).step_keyed(logic, *live, key),
-        }
-    }
-
-    fn resume(
-        rt: &OrderedLock<EnhancedSea>,
-        live: &mut PalId,
-        cpu: CpuId,
-        key: Option<u64>,
-    ) -> Result<(), SeaError> {
-        match key {
-            None => lock(rt).resume(*live, cpu),
-            Some(key) => lock(rt).resume_keyed(*live, cpu, key),
-        }
-    }
-
-    fn report(rt: &OrderedLock<EnhancedSea>, live: &PalId) -> Result<SessionReport, SeaError> {
-        lock(rt).report(*live)
-    }
-
-    fn quote(
-        rt: &OrderedLock<EnhancedSea>,
-        live: &mut PalId,
-        nonce: &[u8],
-        key: Option<u64>,
-    ) -> Result<Timed<Quote>, SeaError> {
-        match key {
-            None => lock(rt).quote_and_free(*live, nonce),
-            Some(key) => lock(rt).quote_and_free_keyed(*live, nonce, key),
-        }
-    }
-
-    fn kill(rt: &OrderedLock<EnhancedSea>, live: &mut PalId, key: u64) -> Result<(), SeaError> {
-        lock(rt).kill_session(*live, key)
-    }
-
-    fn degrade(
-        rt: &OrderedLock<EnhancedSea>,
-        logic: &mut dyn PalLogic,
-        input: &[u8],
-        cpu: CpuId,
-        key: u64,
-    ) -> Result<(Vec<u8>, SessionReport), SeaError> {
-        // The fallback is not a keyed engine op, so pin the track and
-        // lifecycle frame here, under the same engine lock.
-        let mut guard = lock(rt);
-        let obs = guard.platform().machine().obs().clone();
-        obs.set_track(key);
-        obs.open(Layer::Core, "session.fallback");
-        let done = guard.run_legacy_fallback(logic, input, cpu);
-        obs.close();
-        obs.add("core.degraded", 1);
-        let done = done?;
-        Ok((done.output, done.report))
-    }
-}
 
 mod sealed {
     /// Closes the [`super::Stage`] set: the lifecycle has exactly the
@@ -503,32 +313,31 @@ impl Stage for Launched {}
 impl Stage for Stepping {}
 impl Stage for Sealed {}
 
-/// A live session walking the typestate lifecycle over architecture
-/// `A`. Obtain one from [`SessionEngine::launch`]; consume it through
-/// [`Session::step`] / [`Session::resume`] / [`Session::quote_and_free`].
-/// Transitions Figure 6 lacks do not compile.
-pub struct Session<'e, A: Architecture, S: Stage> {
-    rt: &'e OrderedLock<A::Runtime>,
+/// A live session walking the typestate lifecycle. Obtain one from
+/// [`SessionEngine::launch`]; consume it through [`Session::step`] /
+/// [`Session::resume`] / [`Session::quote_and_free`]. Transitions
+/// Figure 6 lacks do not compile.
+pub struct Session<'e, S: Stage> {
+    rt: &'e RuntimeLock,
     logic: &'e mut dyn PalLogic,
-    live: A::Live,
+    live: PalId,
     cpu: CpuId,
     index: usize,
-    key: Option<u64>,
     output: Vec<u8>,
     _stage: PhantomData<S>,
 }
 
 /// Result of stepping a launched session: it either yielded (resume
 /// it) or exited (quote it).
-pub enum Stepped<'e, A: Architecture> {
+pub enum Stepped<'e> {
     /// The PAL yielded the CPU; the session awaits a resume.
-    Yielded(Session<'e, A, Stepping>),
+    Yielded(Session<'e, Stepping>),
     /// The PAL exited; the session awaits its attestation.
-    Exited(Session<'e, A, Sealed>),
+    Exited(Session<'e, Sealed>),
 }
 
-impl<'e, A: Architecture, S: Stage> Session<'e, A, S> {
-    /// The job's index in its batch (also the default session key and
+impl<'e, S: Stage> Session<'e, S> {
+    /// The job's index in its batch (also the session key and
     /// quote-nonce seed).
     pub fn index(&self) -> usize {
         self.index
@@ -541,53 +350,51 @@ impl<'e, A: Architecture, S: Stage> Session<'e, A, S> {
 
     /// Moves the handle to another stage. Private: the public
     /// transition methods are the only legal edges.
-    fn into_stage<T: Stage>(self) -> Session<'e, A, T> {
+    fn into_stage<T: Stage>(self) -> Session<'e, T> {
         Session {
             rt: self.rt,
             logic: self.logic,
             live: self.live,
             cpu: self.cpu,
             index: self.index,
-            key: self.key,
             output: self.output,
             _stage: PhantomData,
         }
     }
 
-    /// Tears the session down mid-flight via the architecture's kill
-    /// primitive (`SKILL` on [`Slaunch`]), reclaiming its resources.
-    fn kill_inner(mut self) -> Result<(), SeaError> {
-        let key = self.key.unwrap_or(self.index as u64);
-        A::kill(self.rt, &mut self.live, key)
+    /// Tears the session down mid-flight via `SKILL`, reclaiming its
+    /// resources.
+    fn kill_inner(self) -> Result<(), SeaError> {
+        let key = self.index as u64;
+        self.rt.lock().sea.kill_session(self.live, key)
     }
 }
 
-impl<'e, A: Architecture> Session<'e, A, Launched> {
+impl<'e> Session<'e, Launched> {
     /// Launches a session: the entry edge of the lifecycle.
     fn start(
-        rt: &'e OrderedLock<A::Runtime>,
+        rt: &'e RuntimeLock,
         logic: &'e mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
         index: usize,
-        key: Option<u64>,
     ) -> Result<Self, SeaError> {
-        let live = A::launch(rt, logic, input, cpu, key)?;
+        let live = rt.lock().sea.slaunch(logic, input, cpu, None)?;
         Ok(Session {
             rt,
             logic,
             live,
             cpu,
             index,
-            key,
             output: Vec::new(),
             _stage: PhantomData,
         })
     }
 
     /// Runs the PAL until it yields or exits.
-    pub fn step(mut self) -> Result<Stepped<'e, A>, SeaError> {
-        match A::step(self.rt, &mut self.live, self.logic, self.key)? {
+    pub fn step(mut self) -> Result<Stepped<'e>, SeaError> {
+        let step = self.rt.lock().sea.step(self.logic, self.live)?;
+        match step {
             PalStep::Yielded => Ok(Stepped::Yielded(self.into_stage())),
             PalStep::Exited { output } => {
                 self.output = output;
@@ -602,10 +409,10 @@ impl<'e, A: Architecture> Session<'e, A, Launched> {
     }
 }
 
-impl<'e, A: Architecture> Session<'e, A, Stepping> {
+impl<'e> Session<'e, Stepping> {
     /// Resumes the yielded PAL on its CPU.
-    pub fn resume(mut self) -> Result<Session<'e, A, Launched>, SeaError> {
-        A::resume(self.rt, &mut self.live, self.cpu, self.key)?;
+    pub fn resume(self) -> Result<Session<'e, Launched>, SeaError> {
+        self.rt.lock().sea.resume(self.live, self.cpu)?;
         Ok(self.into_stage())
     }
 
@@ -615,12 +422,13 @@ impl<'e, A: Architecture> Session<'e, A, Stepping> {
     }
 }
 
-impl<A: Architecture> Session<'_, A, Sealed> {
+impl Session<'_, Sealed> {
     /// Attests the exited session over `nonce` and retires it,
     /// returning the job's result and the quote.
-    pub fn quote_and_free(mut self, nonce: &[u8]) -> Result<(JobResult, Quote), SeaError> {
-        let report = A::report(self.rt, &self.live)?;
-        let quote = A::quote(self.rt, &mut self.live, nonce, self.key)?;
+    pub fn quote_and_free(self, nonce: &[u8]) -> Result<(JobResult, Quote), SeaError> {
+        let mut rt = self.rt.lock();
+        let report = rt.sea.report(self.live)?;
+        let quote = rt.sea.quote_and_free(self.live, nonce)?;
         Ok((
             JobResult {
                 output: self.output,
@@ -833,11 +641,12 @@ impl ResetTriggers {
     }
 
     /// Decides, at one commit boundary, whether the power fails there.
-    /// `epoch` counts resets already survived, `key` is the committing
-    /// session, `recorded` the trace's cumulative event count. The
-    /// budget cap guarantees the recovery loop terminates even under a
-    /// 100% reset rate.
-    fn check(&mut self, epoch: u64, key: u64, recorded: u64) -> bool {
+    /// `key` is the committing session, `recorded` the trace's
+    /// cumulative event count. The power-loss roll's epoch is the
+    /// number of resets already survived: every fire ends its epoch in
+    /// a reset, so that is the fire count. The budget cap guarantees
+    /// the recovery loop terminates even under a 100% reset rate.
+    fn check(&mut self, key: u64, recorded: u64) -> bool {
         if self.fired >= self.plan.max_resets() {
             return false;
         }
@@ -845,7 +654,7 @@ impl ResetTriggers {
         if cut {
             self.cut_fired = true;
         }
-        let fire = cut || self.plan.roll_power_loss(epoch, key);
+        let fire = cut || self.plan.roll_power_loss(u64::from(self.fired), key);
         if fire {
             self.fired += 1;
         }
@@ -853,67 +662,100 @@ impl ResetTriggers {
     }
 }
 
-/// Shared context for one durable epoch: the journal, the reset
-/// triggers, and the crash flag every worker/virtual CPU consults.
-#[derive(Clone, Copy)]
-pub(crate) struct DurableCtx<'a> {
-    /// The retry budget and backoff schedule.
-    retry: RetryPolicy,
-    /// Resets already survived (the power-loss roll's epoch key).
-    reset_epoch: u64,
+/// A durable batch's mutable state. It lives under the engine lock,
+/// beside the runtime whose NVRAM it checkpoints into, so the commit
+/// gate's trace read, reset decision and checkpoint are one critical
+/// section.
+struct DurableEpoch {
     /// The write-ahead journal.
-    journal: &'a OrderedLock<SessionJournal>,
+    journal: SessionJournal,
     /// Power-loss decision state.
-    triggers: &'a OrderedLock<ResetTriggers>,
+    triggers: ResetTriggers,
     /// Accumulated checkpoint-seal time.
-    journal_overhead: &'a OrderedLock<SimDuration>,
-    /// Set when the cord is yanked; later commits observe it and tear.
-    crashed: &'a AtomicBool,
+    journal_overhead: SimDuration,
+    /// Set when the cord is yanked; later starts and commits observe it
+    /// and tear. Recovery clears it.
+    crashed: bool,
+    /// Commits journaled since the last seal (group commit). Sealing
+    /// and recovery reset it, so a crash discards the buffer exactly as
+    /// it discards unsealed journal state.
+    pending_seals: usize,
     /// Terminal commits batched per NVRAM seal (group commit; ≥ 1).
     group: usize,
-    /// Commits journaled since the last seal; sealing resets it. Lives
-    /// beside `crashed` in the epoch loop, so a crash discards the
-    /// buffer exactly as it discards unsealed journal state.
-    pending_seals: &'a AtomicUsize,
 }
 
-impl DurableCtx<'_> {
-    /// The commit gate for one terminal session. Holding the engine
-    /// lock makes the read of the trace counter, the reset decision,
-    /// and the NVRAM checkpoint one atomic boundary — no other
-    /// worker can slip a commit in between. (This is the one place obs
-    /// emission stays under the lock: the journal spans land on the
-    /// shared PLATFORM_TRACK, so their ordering must serialize with
-    /// the commits.)
+impl DurableEpoch {
+    fn new(plan: ResetPlan, group: usize) -> Self {
+        DurableEpoch {
+            journal: SessionJournal::new(),
+            triggers: ResetTriggers::new(plan),
+            journal_overhead: SimDuration::ZERO,
+            crashed: false,
+            pending_seals: 0,
+            group,
+        }
+    }
+}
+
+/// Everything the engine lock guards.
+pub(crate) struct Runtime {
+    /// The runtime every session operation drives.
+    pub(crate) sea: EnhancedSea,
+    /// The running batch's durable state: set at every batch start,
+    /// `None` when the batch is not durable.
+    durable: Option<DurableEpoch>,
+}
+
+impl Runtime {
+    /// Launches batch session `key` (`None` on the plain fast path). A
+    /// durable batch writes the session's write-ahead `launched` record
+    /// under the same lock hold as the launch.
+    pub(crate) fn launch(
+        &mut self,
+        logic: &mut dyn PalLogic,
+        input: &[u8],
+        cpu: CpuId,
+        key: Option<u64>,
+    ) -> Result<PalId, SeaError> {
+        let live = self.sea.slaunch_keyed(logic, input, cpu, key)?;
+        if let (Some(epoch), Some(key)) = (&mut self.durable, key) {
+            epoch.journal.record_launched(key);
+        }
+        Ok(live)
+    }
+
+    /// The commit gate for one terminal session of a durable batch.
+    /// Running under the engine lock makes the read of the trace
+    /// counter, the reset decision, and the NVRAM checkpoint one atomic
+    /// boundary — no other worker can slip a commit in between. (This
+    /// is the one place obs emission stays under the lock: the journal
+    /// spans land on the shared PLATFORM_TRACK, so their ordering must
+    /// serialize with the commits.)
     ///
     /// Identical for both executors (it runs inside
     /// [`WorkerMode::finish`]): on the thread pool right after the
     /// drive, on the worker's thread; on the discrete-event backend at
     /// the session's terminal event, in event order.
-    fn commit_gate<A: Architecture>(
-        &self,
-        rt: &OrderedLock<A::Runtime>,
+    fn commit(
+        &mut self,
         obs: &Obs,
         key: u64,
         session: SessionResult,
         job: ConcurrentJob,
     ) -> Result<Attempt, SeaError> {
-        let mut guard = lock(rt);
-        if self.crashed.load(Ordering::SeqCst) {
+        let Runtime { sea, durable } = self;
+        let Some(epoch) = durable.as_mut().filter(|epoch| !epoch.crashed) else {
             return Ok(Attempt::Torn(job));
-        }
-        let recorded = A::platform(&guard).machine().trace().recorded();
-        let fire = lock(self.triggers).check(self.reset_epoch, key, recorded);
-        if fire {
+        };
+        let recorded = sea.platform().machine().trace().recorded();
+        if epoch.triggers.check(key, recorded) {
             // The cord is yanked before this record reaches NVRAM: the
             // committing session is torn too.
-            self.crashed.store(true, Ordering::SeqCst);
+            epoch.crashed = true;
             return Ok(Attempt::Torn(job));
         }
-        let mut wal = lock(self.journal);
-        wal.commit(key, &session);
+        epoch.journal.commit(key, &session);
         if session.is_killed() {
-            drop(wal);
             return Ok(Attempt::Volatile(session, job));
         }
         // Group commit: buffer journaled terminals until the group
@@ -923,20 +765,16 @@ impl DurableCtx<'_> {
         // deterministically re-derived) if the power fails first. At
         // `group == 1` this branch is unreachable and every commit
         // seals, byte-identical to the pre-group engine.
-        let buffered = self.pending_seals.fetch_add(1, Ordering::SeqCst) + 1;
-        if buffered < self.group {
-            drop(wal);
+        epoch.pending_seals += 1;
+        if epoch.pending_seals < epoch.group {
             obs.add("journal.buffered", 1);
             return Ok(Attempt::Volatile(session, job));
         }
-        self.pending_seals.store(0, Ordering::SeqCst);
-        let bytes = wal.to_bytes();
-        drop(wal);
+        epoch.pending_seals = 0;
+        let bytes = epoch.journal.to_bytes();
         // Seal to the empty PCR selection: the blob must unseal on the
         // rebooted platform, whose PCRs have all reset.
-        let tpm = A::platform_mut(&mut guard)
-            .tpm_mut()
-            .ok_or(SeaError::NoTpm)?;
+        let tpm = sea.platform_mut().tpm_mut().ok_or(SeaError::NoTpm)?;
         let sealed = tpm.seal(&bytes, &[])?;
         tpm.nvram_mut()
             .store_blob(JOURNAL_NV_INDEX, &sealed.value.to_bytes());
@@ -953,15 +791,27 @@ impl DurableCtx<'_> {
             SimDuration::ZERO,
             sealed.elapsed,
         );
-        *lock(self.journal_overhead) += sealed.elapsed;
+        epoch.journal_overhead += sealed.elapsed;
         Ok(Attempt::Committed(session))
     }
 }
 
-/// How one epoch's workers drive their jobs, resolved once from the
+/// The engine's one lock. Every session operation takes it once and
+/// never nests it; on the discrete-event executor it is uncontended.
+pub(crate) struct RuntimeLock(Mutex<Runtime>);
+
+impl RuntimeLock {
+    /// Acquires the lock, riding through poison: a panicked worker must
+    /// not wedge the batch driver.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Runtime> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// How a batch's workers drive their jobs, resolved once from the
 /// [`BatchPolicy`].
 #[derive(Clone, Copy)]
-pub(crate) enum WorkerMode<'a> {
+pub(crate) enum WorkerMode {
     /// Fast path: unkeyed lifecycle, errors surface per job.
     Plain,
     /// Keyed lifecycle with bounded fault recovery.
@@ -971,58 +821,54 @@ pub(crate) enum WorkerMode<'a> {
     },
     /// Recovered driving plus write-ahead journaling and a power-loss
     /// gate at each session commit.
-    Durable(DurableCtx<'a>),
+    Durable {
+        /// The retry budget and backoff schedule.
+        retry: RetryPolicy,
+    },
 }
 
-impl<'a> WorkerMode<'a> {
+impl WorkerMode {
     /// Opens job `i` on `cpu`: the driver to advance to its terminal,
     /// or — when a durable epoch's platform has already gone dark —
     /// the torn job, which never started and charges no busy time. A
-    /// durable job records its write-ahead intent before it starts.
-    pub(crate) fn start<A: Architecture>(
+    /// durable job records its write-ahead intent before it starts; the
+    /// other modes take no lock here.
+    pub(crate) fn start(
         &self,
+        rt: &RuntimeLock,
         i: usize,
         cpu: CpuId,
         job: ConcurrentJob,
-    ) -> Result<SessionDriver<A>, ConcurrentJob> {
+    ) -> Result<SessionDriver, ConcurrentJob> {
         let retry = match self {
             WorkerMode::Plain => None,
             WorkerMode::Recovered { retry } => Some(*retry),
-            WorkerMode::Durable(ctx) => {
-                if ctx.crashed.load(Ordering::SeqCst) {
-                    return Err(job);
+            WorkerMode::Durable { retry } => {
+                match rt.lock().durable.as_mut() {
+                    Some(epoch) if !epoch.crashed => epoch.journal.record_intent(i as u64),
+                    _ => return Err(job),
                 }
-                lock(ctx.journal).record_intent(i as u64);
-                Some(ctx.retry)
+                Some(*retry)
             }
         };
         Ok(SessionDriver::new(i, cpu, job, retry))
-    }
-
-    /// The write-ahead journal every advance writes through (durable
-    /// epochs only).
-    pub(crate) fn journal(&self) -> Option<&'a OrderedLock<SessionJournal>> {
-        match self {
-            WorkerMode::Durable(ctx) => Some(ctx.journal),
-            WorkerMode::Plain | WorkerMode::Recovered { .. } => None,
-        }
     }
 
     /// Closes a session its driver has brought to `result`: a durable
     /// epoch runs the commit gate (an infrastructure error aborts the
     /// batch). Returns the job's attempt and the busy time it charges
     /// its CPU — the session's cost, or zero for an error or a tear.
-    pub(crate) fn finish<A: Architecture>(
+    pub(crate) fn finish(
         &self,
-        rt: &OrderedLock<A::Runtime>,
+        rt: &RuntimeLock,
         obs: &Obs,
-        driver: SessionDriver<A>,
+        driver: SessionDriver,
         result: Result<SessionResult, SeaError>,
     ) -> Result<(Attempt, SimDuration), SeaError> {
         let attempt = match self {
-            WorkerMode::Durable(ctx) => {
+            WorkerMode::Durable { .. } => {
                 let key = driver.index() as u64;
-                ctx.commit_gate::<A>(rt, obs, key, result?, driver.into_job())?
+                rt.lock().commit(obs, key, result?, driver.into_job())?
             }
             WorkerMode::Plain | WorkerMode::Recovered { .. } => Attempt::Done(result),
         };
@@ -1035,8 +881,9 @@ impl<'a> WorkerMode<'a> {
 }
 
 /// The unified batch engine: a worker pool (worker *k* plays CPU *k*)
-/// driving sessions of architecture `A` against **one shared** runtime,
-/// with batch behavior composed from a [`BatchPolicy`].
+/// driving `SLAUNCH` sessions against **one shared** [`EnhancedSea`],
+/// with batch behavior composed from a [`BatchPolicy`]. `A` is the
+/// [`Slaunch`] marker.
 ///
 /// # Example
 ///
@@ -1061,20 +908,21 @@ impl<'a> WorkerMode<'a> {
 /// assert_eq!(outcome.quoted(), 8);
 /// assert!(outcome.speedup() > 1.0);
 /// ```
-pub struct SessionEngine<A: Architecture = Slaunch> {
-    rt: OrderedLock<A::Runtime>,
+pub struct SessionEngine<A = Slaunch> {
+    rt: RuntimeLock,
     workers: usize,
     executor: Executor,
+    _arch: PhantomData<A>,
 }
 
-impl<A: Architecture> SessionEngine<A> {
+impl SessionEngine<Slaunch> {
     /// Boots an engine of `workers` worker threads (worker *k* drives
-    /// CPU *k*) over a fresh `A::Runtime` on `platform`.
+    /// CPU *k*) over a fresh [`EnhancedSea`] on `platform`.
     ///
     /// # Errors
     ///
-    /// Whatever [`Architecture::boot`] raises (e.g.
-    /// [`SeaError::SlaunchUnsupported`] / [`SeaError::NoTpm`]), plus
+    /// Whatever [`EnhancedSea::new`] raises
+    /// ([`SeaError::SlaunchUnsupported`] / [`SeaError::NoTpm`]), plus
     /// [`SeaError::NotEnoughCpus`] when `workers` is zero or exceeds
     /// the platform's CPU count.
     ///
@@ -1100,11 +948,12 @@ impl<A: Architecture> SessionEngine<A> {
         if let Some(tpm) = platform.tpm_mut() {
             tpm.set_nominal_timing(true);
         }
-        let rt = A::boot(platform)?;
+        let sea = EnhancedSea::new(platform)?;
         Ok(SessionEngine {
-            rt: OrderedLock::new(LockRank::Runtime, rt),
+            rt: RuntimeLock(Mutex::new(Runtime { sea, durable: None })),
             workers,
             executor: Executor::from_env(),
+            _arch: PhantomData,
         })
     }
 
@@ -1113,34 +962,18 @@ impl<A: Architecture> SessionEngine<A> {
         self.workers
     }
 
-    /// Selects the executor backend (builder form).
+    /// Selects the executor backend (a [`BatchPolicy::with_executor`]
+    /// override still takes precedence per batch).
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self
-    }
-
-    /// Selects the executor backend in place.
-    pub fn set_executor(&mut self, executor: Executor) {
-        self.executor = executor;
-    }
-
-    /// The engine's executor backend (a [`BatchPolicy::with_executor`]
-    /// override still takes precedence per batch).
-    pub fn executor(&self) -> Executor {
-        self.executor
     }
 
     /// Installs the observability handle into the shared runtime's
     /// machine: every keyed session operation then emits lifecycle
     /// spans and attributed charges on the session's own track.
     pub fn install_obs(&self, obs: Obs) {
-        A::platform_mut(&mut lock(&self.rt)).install_obs(obs);
-    }
-
-    /// The shared runtime's observability handle (null unless
-    /// [`SessionEngine::install_obs`] was called).
-    pub fn obs(&self) -> Obs {
-        A::platform(&lock(&self.rt)).machine().obs().clone()
+        self.rt.lock().sea.platform_mut().install_obs(obs);
     }
 
     /// Installs (or clears) a deterministic fault plan on the shared
@@ -1148,7 +981,7 @@ impl<A: Architecture> SessionEngine<A> {
     /// each job rolls faults against its own batch index, so serial
     /// and parallel runs of the same batch see identical injections.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        A::set_fault_plan(&mut lock(&self.rt), plan);
+        self.rt.lock().sea.set_fault_plan(plan);
     }
 
     /// Launches one session by hand, returning the typestate handle
@@ -1156,15 +989,15 @@ impl<A: Architecture> SessionEngine<A> {
     ///
     /// # Errors
     ///
-    /// Whatever the architecture's launch primitive raises.
+    /// Whatever [`EnhancedSea::slaunch`] raises.
     pub fn launch<'e>(
         &'e self,
         logic: &'e mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
         index: usize,
-    ) -> Result<Session<'e, A, Launched>, SeaError> {
-        Session::start(&self.rt, logic, input, cpu, index, None)
+    ) -> Result<Session<'e, Launched>, SeaError> {
+        Session::start(&self.rt, logic, input, cpu, index)
     }
 
     /// Runs a batch of jobs to completion across the worker pool under
@@ -1221,14 +1054,25 @@ impl<A: Architecture> SessionEngine<A> {
             }
         }
         let workers = self.workers;
-        let retry = policy.retry();
         let exec = policy.executor().unwrap_or(self.executor);
 
-        let journal = OrderedLock::new(LockRank::Journal, SessionJournal::new());
-        let triggers = policy
-            .durability()
-            .map(|plan| OrderedLock::new(LockRank::Triggers, ResetTriggers::new(plan.clone())));
-        let journal_overhead = OrderedLock::new(LockRank::Accounting, SimDuration::ZERO);
+        // Every batch sets the epoch state at its start, so an aborted
+        // batch cannot leak into this one. A durable batch also deletes
+        // the checkpoint an earlier batch left in NVRAM: recovery must
+        // restore this batch's sessions, never another's. One obs
+        // handle serves the whole batch (it survives power cycles), so
+        // the hot path never locks the runtime just to reach the sink.
+        let obs = {
+            let mut rt = self.rt.lock();
+            rt.durable = policy
+                .durability()
+                .map(|plan| DurableEpoch::new(plan.clone(), policy.group_commit()));
+            if rt.durable.is_some() {
+                let tpm = rt.sea.platform_mut().tpm_mut().ok_or(SeaError::NoTpm)?;
+                tpm.nvram_mut().delete_blob(JOURNAL_NV_INDEX);
+            }
+            rt.sea.platform().machine().obs().clone()
+        };
         let mut cpu_busy = vec![SimDuration::ZERO; workers];
         let mut final_slots: Vec<Option<Result<SessionResult, SeaError>>> =
             (0..n_jobs).map(|_| None).collect();
@@ -1238,92 +1082,57 @@ impl<A: Architecture> SessionEngine<A> {
         let mut relaunched: Vec<u64> = Vec::new();
         let mut recovery_latency = SimDuration::ZERO;
 
-        loop {
-            let crashed = AtomicBool::new(false);
-            // Per-epoch like `crashed`: a crash discards the unsealed
-            // group-commit buffer along with the rest of volatile state.
-            let pending_seals = AtomicUsize::new(0);
-            let reset_epoch = resets as u64;
-            // One obs handle for the whole epoch, cloned before the
-            // workers spawn so the hot path never locks the runtime
-            // just to reach the sink.
-            let obs = self.obs();
-            let mode = match (retry, &triggers) {
-                (r, Some(triggers)) => WorkerMode::Durable(DurableCtx {
-                    retry: r.unwrap_or_default(),
-                    reset_epoch,
-                    journal: &journal,
-                    triggers,
-                    journal_overhead: &journal_overhead,
-                    crashed: &crashed,
-                    group: policy.group_commit(),
-                    pending_seals: &pending_seals,
-                }),
-                (Some(retry), None) => WorkerMode::Recovered { retry },
-                (None, None) => WorkerMode::Plain,
-            };
-
+        let mode = match (policy.retry(), policy.durability()) {
+            (retry, Some(_)) => WorkerMode::Durable {
+                retry: retry.unwrap_or_default(),
+            },
+            (Some(retry), None) => WorkerMode::Recovered { retry },
+            (None, None) => WorkerMode::Plain,
+        };
+        let (attempts, journal_overhead) = loop {
             // Sorting pending work by index makes the epoch's schedule
             // a pure function of *which* jobs are pending, never the
             // order they were submitted or re-queued in.
             pending.sort_unstable_by_key(|(i, _)| *i);
             let pending_epoch = std::mem::take(&mut pending);
             let (attempts, busy) = match exec {
-                Executor::ThreadPool => threadpool::run_epoch::<A>(
-                    workers,
-                    n_jobs,
-                    pending_epoch,
-                    &self.rt,
-                    &obs,
-                    mode,
-                )?,
+                Executor::ThreadPool => {
+                    threadpool::run_epoch(workers, n_jobs, pending_epoch, &self.rt, &obs, mode)?
+                }
                 Executor::DiscreteEvent => {
-                    des::run_epoch::<A>(workers, n_jobs, pending_epoch, &self.rt, &obs, mode)?
+                    des::run_epoch(workers, n_jobs, pending_epoch, &self.rt, &obs, mode)?
                 }
             };
             for (k, b) in busy.into_iter().enumerate() {
                 cpu_busy[k] += b;
             }
 
-            if !crashed.load(Ordering::SeqCst) {
+            let mut guard = self.rt.lock();
+            let Runtime { sea, durable } = &mut *guard;
+            let Some(epoch) = durable.as_mut().filter(|epoch| epoch.crashed) else {
                 // Clean epoch: every surviving attempt is final.
-                for (i, attempt) in attempts.into_iter().enumerate() {
-                    match attempt {
-                        Some(Attempt::Done(result)) => final_slots[i] = Some(result),
-                        Some(Attempt::Committed(s) | Attempt::Volatile(s, _)) => {
-                            final_slots[i] = Some(Ok(s))
-                        }
-                        Some(Attempt::Torn(_)) => {
-                            return Err(SeaError::EngineFault("torn session in a clean epoch"))
-                        }
-                        None => {}
-                    }
-                }
-                break;
-            }
+                let overhead = durable.take().map(|epoch| epoch.journal_overhead);
+                break (attempts, overhead.unwrap_or(SimDuration::ZERO));
+            };
 
             // Power loss (durable mode only). Reboot the platform, then
             // rebuild the world from the sealed journal alone — every
             // in-memory result past the last checkpoint is discarded,
-            // exactly as a real crash would lose it.
+            // the unsealed group-commit buffer included, exactly as a
+            // real crash would lose it.
             resets += 1;
-            let mut guard = lock(&self.rt);
             obs.add("journal.resets", 1);
-            recovery_latency += A::power_cycle(&mut guard);
-            let recovered = {
-                let tpm = A::platform_mut(&mut guard)
-                    .tpm_mut()
-                    .ok_or(SeaError::NoTpm)?;
-                match tpm.nvram().read_blob(JOURNAL_NV_INDEX).map(<[u8]>::to_vec) {
-                    Some(bytes) => {
-                        let blob = SealedBlob::from_bytes(&bytes)?;
-                        let opened = tpm.unseal(&blob)?;
-                        recovery_latency += opened.elapsed;
-                        obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.unseal", opened.elapsed);
-                        SessionJournal::from_bytes(&opened.value)?
-                    }
-                    None => SessionJournal::new(),
+            recovery_latency += sea.power_cycle();
+            let tpm = sea.platform_mut().tpm_mut().ok_or(SeaError::NoTpm)?;
+            let recovered = match tpm.nvram().read_blob(JOURNAL_NV_INDEX).map(<[u8]>::to_vec) {
+                Some(bytes) => {
+                    let blob = SealedBlob::from_bytes(&bytes)?;
+                    let opened = tpm.unseal(&blob)?;
+                    recovery_latency += opened.elapsed;
+                    obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.unseal", opened.elapsed);
+                    SessionJournal::from_bytes(&opened.value)?
                 }
+                None => SessionJournal::new(),
             };
             let restored = recovered.restore()?;
             committed = restored.iter().map(|(key, _)| *key).collect();
@@ -1334,7 +1143,9 @@ impl<A: Architecture> SessionEngine<A> {
                     .ok_or(SeaError::JournalCorrupt("session key out of range"))?;
                 *slot = Some(Ok(session));
             }
-            *lock(&journal) = recovered;
+            epoch.journal = recovered;
+            epoch.crashed = false;
+            epoch.pending_seals = 0;
 
             // Everything without a checkpointed terminal relaunches.
             relaunched.clear();
@@ -1349,16 +1160,23 @@ impl<A: Architecture> SessionEngine<A> {
                 }
             }
             obs.add("journal.relaunches", pending.len() as u64);
-            let machine = A::platform_mut(&mut guard).machine_mut();
             for (i, _) in &pending {
-                let now = machine.now();
-                machine
-                    .trace_mut()
-                    .record(now, TraceEvent::SessionRelaunched { session: *i as u64 });
+                sea.record(TraceEvent::SessionRelaunched { session: *i as u64 });
+            }
+        };
+
+        for (i, attempt) in attempts.into_iter().enumerate() {
+            match attempt {
+                Some(Attempt::Done(result)) => final_slots[i] = Some(result),
+                Some(Attempt::Committed(s) | Attempt::Volatile(s, _)) => {
+                    final_slots[i] = Some(Ok(s))
+                }
+                Some(Attempt::Torn(_)) => {
+                    return Err(SeaError::EngineFault("torn session in a clean epoch"))
+                }
+                None => {}
             }
         }
-
-        let journal_overhead = journal_overhead.into_inner();
         let mut sessions = Vec::with_capacity(n_jobs);
         for slot in final_slots {
             let result = slot.ok_or(SeaError::EngineFault("job result slot left unfilled"))?;
@@ -1383,7 +1201,36 @@ impl<A: Architecture> SessionEngine<A> {
 
     /// Tears the engine down, returning the shared runtime (e.g. to
     /// inspect the platform's final state in tests).
-    pub fn into_inner(self) -> A::Runtime {
-        self.rt.into_inner()
+    pub fn into_inner(self) -> EnhancedSea {
+        self.rt
+            .0
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .sea
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pal::{FnPal, PalOutcome};
+    use sea_hw::Platform;
+    use sea_tpm::KeyStrength;
+
+    #[test]
+    fn engine_lock_rides_through_poison() {
+        let platform = SecurePlatform::new(Platform::recommended(1), KeyStrength::Demo512, b"lock");
+        let engine = SessionEngine::<Slaunch>::new(platform, 1).unwrap();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = engine.rt.lock();
+            panic!("poison the engine lock");
+        }));
+        assert!(poisoned.is_err());
+        let mut pal = FnPal::new("after", |_| Ok(PalOutcome::Exit(b"ok".to_vec())));
+        let session = engine.launch(&mut pal, b"", CpuId(0), 0).unwrap();
+        let Stepped::Exited(sealed) = session.step().unwrap() else {
+            panic!("the PAL exits without yielding");
+        };
+        assert_eq!(sealed.quote_and_free(b"nonce").unwrap().0.output, b"ok");
     }
 }

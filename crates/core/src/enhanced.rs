@@ -239,6 +239,13 @@ impl EnhancedSea {
         self.platform.machine().obs().clone()
     }
 
+    /// Records `event` in the machine trace at the current virtual time.
+    pub(crate) fn record(&mut self, event: TraceEvent) {
+        let machine = self.platform.machine_mut();
+        let now = machine.now();
+        machine.trace_mut().record(now, event);
+    }
+
     /// Finds a region of `pages` pages for a PAL of `needed` bytes,
     /// without taking it. A released region is zeroed first, so the new
     /// PAL never sees an earlier PAL's bytes in place of its empty state.
@@ -718,8 +725,11 @@ impl EnhancedSea {
     // ------------------------------------------------------------------
     // Deterministic fault injection and recovery primitives.
     //
-    // The `*_keyed` variants consult the installed [`FaultPlan`] before
-    // delegating to the plain operations. Every injection decision is a
+    // The `*_keyed` variants are the session engine's lifecycle calls.
+    // With a key (the recovery layer drives the session) they pin the
+    // session's obs track and consult the installed [`FaultPlan`] before
+    // delegating to the plain operations; without one (the plain fast
+    // path) they are the plain operations. Every injection decision is a
     // pure function of (plan, session key, per-session roll counter) —
     // never of wall-clock time or cross-session interleaving — so serial
     // and parallel drivers replaying the same keys see identical faults.
@@ -786,12 +796,12 @@ impl EnhancedSea {
         if let Some(kind) = rolled {
             match &result {
                 Err(SeaError::Tpm(TpmError::TransportFault { .. })) => {
-                    let machine = self.platform.machine_mut();
-                    machine.charge(Layer::Tpm, "tpm.transport_fault", TRANSPORT_FAULT_COST);
-                    let now = machine.now();
-                    machine
-                        .trace_mut()
-                        .record(now, TraceEvent::FaultInjected { kind, session: key });
+                    self.platform.machine_mut().charge(
+                        Layer::Tpm,
+                        "tpm.transport_fault",
+                        TRANSPORT_FAULT_COST,
+                    );
+                    self.record(TraceEvent::FaultInjected { kind, session: key });
                 }
                 _ => {
                     if let Some(tpm) = self.platform.tpm_mut() {
@@ -817,16 +827,16 @@ impl EnhancedSea {
         pal: &mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
-        preemption_timer: Option<SimDuration>,
-        key: u64,
+        key: Option<u64>,
     ) -> Result<PalId, SeaError> {
+        let Some(key) = key else {
+            return self.slaunch(pal, input, cpu, None);
+        };
         let obs = self.obs();
         obs.set_track(key);
         obs.open(Layer::Core, "session.slaunch");
         let rolled = self.roll_tpm(key);
-        let result = self.with_tpm_fault(rolled, key, |sea| {
-            sea.slaunch(pal, input, cpu, preemption_timer)
-        });
+        let result = self.with_tpm_fault(rolled, key, |sea| sea.slaunch(pal, input, cpu, None));
         obs.close();
         result
     }
@@ -844,8 +854,11 @@ impl EnhancedSea {
         &mut self,
         pal: &mut dyn PalLogic,
         id: PalId,
-        key: u64,
+        key: Option<u64>,
     ) -> Result<PalStep, SeaError> {
+        let Some(key) = key else {
+            return self.step(pal, id);
+        };
         let obs = self.obs();
         obs.set_track(key);
         obs.open(Layer::Core, "session.step");
@@ -861,21 +874,12 @@ impl EnhancedSea {
         key: u64,
     ) -> Result<PalStep, SeaError> {
         if self.roll_timer(key) {
-            let machine = self.platform.machine_mut();
-            let now = machine.now();
-            machine.trace_mut().record(
-                now,
-                TraceEvent::FaultInjected {
-                    kind: FaultKind::TimerExpiry,
-                    session: key,
-                },
-            );
+            self.record(TraceEvent::FaultInjected {
+                kind: FaultKind::TimerExpiry,
+                session: key,
+            });
             self.preempt(id)?;
-            let machine = self.platform.machine_mut();
-            let now = machine.now();
-            machine
-                .trace_mut()
-                .record(now, TraceEvent::SessionPreempted { session: key });
+            self.record(TraceEvent::SessionPreempted { session: key });
             return Ok(PalStep::Yielded);
         }
         self.step(pal, id)
@@ -890,7 +894,15 @@ impl EnhancedSea {
     ///
     /// As for [`EnhancedSea::resume`], plus [`SeaError::Hw`] with
     /// [`sea_hw::HwError::AccessDenied`] for injected denials.
-    pub(crate) fn resume_keyed(&mut self, id: PalId, cpu: CpuId, key: u64) -> Result<(), SeaError> {
+    pub(crate) fn resume_keyed(
+        &mut self,
+        id: PalId,
+        cpu: CpuId,
+        key: Option<u64>,
+    ) -> Result<(), SeaError> {
+        let Some(key) = key else {
+            return self.resume(id, cpu);
+        };
         let obs = self.obs();
         obs.set_track(key);
         obs.open(Layer::Core, "session.resume");
@@ -911,15 +923,10 @@ impl EnhancedSea {
         if denial {
             match &result {
                 Err(SeaError::Hw(sea_hw::HwError::AccessDenied { .. })) => {
-                    let machine = self.platform.machine_mut();
-                    let now = machine.now();
-                    machine.trace_mut().record(
-                        now,
-                        TraceEvent::FaultInjected {
-                            kind: FaultKind::MemDenial,
-                            session: key,
-                        },
-                    );
+                    self.record(TraceEvent::FaultInjected {
+                        kind: FaultKind::MemDenial,
+                        session: key,
+                    });
                 }
                 _ => self
                     .platform
@@ -944,8 +951,11 @@ impl EnhancedSea {
         &mut self,
         id: PalId,
         nonce: &[u8],
-        key: u64,
+        key: Option<u64>,
     ) -> Result<Timed<Quote>, SeaError> {
+        let Some(key) = key else {
+            return self.quote_and_free(id, nonce);
+        };
         let obs = self.obs();
         obs.set_track(key);
         obs.open(Layer::Core, "session.quote");
@@ -1042,12 +1052,32 @@ impl EnhancedSea {
                 })
             }
         }
-        let machine = self.platform.machine_mut();
-        let now = machine.now();
-        machine
-            .trace_mut()
-            .record(now, TraceEvent::SessionKilled { session: key });
+        self.record(TraceEvent::SessionKilled { session: key });
         Ok(())
+    }
+
+    /// [`EnhancedSea::run_legacy_fallback`] for a recovered session that
+    /// found the sePCR bank saturated. The fallback rolls no faults, but
+    /// like the other keyed operations it pins the session's track and
+    /// lifecycle frame.
+    ///
+    /// # Errors
+    ///
+    /// As for [`EnhancedSea::run_legacy_fallback`].
+    pub(crate) fn fallback_keyed(
+        &mut self,
+        pal: &mut dyn PalLogic,
+        input: &[u8],
+        cpu: CpuId,
+        key: u64,
+    ) -> Result<PalDone, SeaError> {
+        let obs = self.obs();
+        obs.set_track(key);
+        obs.open(Layer::Core, "session.fallback");
+        let done = self.run_legacy_fallback(pal, input, cpu);
+        obs.close();
+        obs.add("core.degraded", 1);
+        done
     }
 
     /// Degraded path for sePCR-bank saturation: "if no sePCR is

@@ -258,7 +258,7 @@ impl SessionJournal {
     /// canonical encoding parses, so a repeated key cannot silently
     /// replace an earlier record.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SeaError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader { rest: bytes };
         if r.take(MAGIC.len())? != MAGIC {
             return Err(SeaError::JournalCorrupt("bad magic"));
         }
@@ -292,7 +292,7 @@ impl SessionJournal {
             };
             entries.insert(key, entry);
         }
-        if r.pos != bytes.len() {
+        if !r.rest.is_empty() {
             return Err(SeaError::JournalCorrupt("trailing bytes"));
         }
         Ok(SessionJournal { entries })
@@ -318,37 +318,45 @@ fn put_report(out: &mut Vec<u8>, report: &SessionReport) {
     }
 }
 
+/// A cursor over the bytes not yet parsed.
 struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], SeaError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SeaError> {
+        let (field, rest) = self
+            .rest
+            .split_at_checked(n)
             .ok_or(SeaError::JournalCorrupt("truncated"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        self.rest = rest;
+        Ok(field)
+    }
+
+    /// Reads a fixed-size field.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SeaError> {
+        let (field, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(SeaError::JournalCorrupt("truncated"))?;
+        self.rest = rest;
+        Ok(*field)
     }
 
     fn u8(&mut self) -> Result<u8, SeaError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_be_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> Result<u16, SeaError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2")))
+        Ok(u16::from_be_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, SeaError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, SeaError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     fn duration(&mut self) -> Result<SimDuration, SeaError> {

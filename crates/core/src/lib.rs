@@ -22,6 +22,10 @@
 //!   §5.7 — six orders of magnitude cheaper), sePCRs give every
 //!   concurrent PAL its own measurement chain, and `SFREE`/`SKILL`
 //!   retire it.
+//! * [`SessionEngine`] — the batch engine over one shared
+//!   [`EnhancedSea`]: it calls the runtime directly under one lock, and
+//!   composes fault recovery and a crash-consistent write-ahead journal
+//!   from a [`BatchPolicy`].
 //! * [`Verifier`] — the external relying party: checks AIK signatures,
 //!   replays expected measurement chains, and distinguishes genuine late
 //!   launches from reboots, `SKILL`ed PALs, and impostors.
@@ -68,7 +72,6 @@ mod enhanced;
 mod error;
 mod journal;
 mod legacy;
-pub mod locks;
 mod pal;
 mod pioneer;
 mod platform;
@@ -81,14 +84,13 @@ pub mod vm;
 
 pub use attest::{TrustPolicy, Verifier, VerifyError};
 pub use engine::{
-    Architecture, BatchOutcome, BatchPolicy, ConcurrentJob, Executor, JobResult, Session,
-    SessionEngine, SessionResult, SessionTally, Slaunch, Stepped, JOURNAL_NV_INDEX,
+    BatchOutcome, BatchPolicy, ConcurrentJob, Executor, JobResult, Session, SessionEngine,
+    SessionResult, SessionTally, Slaunch, Stepped, JOURNAL_NV_INDEX,
 };
 pub use enhanced::{EnhancedSea, PalDone, PalId, PalStep};
 pub use error::SeaError;
 pub use journal::{JournalEntry, SessionJournal};
 pub use legacy::{LegacySea, LegacySessionResult};
-pub use locks::{Held, LockRank, OrderedLock};
 pub use pal::{FnPal, PalCtx, PalLogic, PalOutcome};
 pub use pioneer::{
     checksum as pioneer_checksum, forged_duration, honest_duration, PioneerChallenge,

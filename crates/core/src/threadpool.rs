@@ -5,37 +5,36 @@
 //! drives its statically-assigned jobs (a
 //! [`SessionDriver`](crate::driver::SessionDriver) run to terminal in
 //! a tight loop). Determinism is *enforced* — per-job costs are
-//! intrinsic, each worker sums its own busy time, and the rank-0
-//! runtime lock serializes every TPM command — rather than structural
-//! as in [`crate::des`].
+//! intrinsic, each worker sums its own busy time, and the engine lock
+//! serializes every TPM command — rather than structural as in
+//! [`crate::des`].
 //!
 //! This module is the only place in `sea-core` allowed to spawn OS
 //! threads (scripts/ci.sh greps for strays).
 
 use sea_hw::{CpuId, Obs, SimDuration};
 
-use crate::engine::{Architecture, Attempt, ConcurrentJob, WorkerMode};
+use crate::engine::{Attempt, ConcurrentJob, RuntimeLock, WorkerMode};
 use crate::error::SeaError;
-use crate::locks::OrderedLock;
 
 /// Drives one worker's statically-assigned jobs on CPU `k` under the
 /// epoch's mode. Returns per-job attempts plus the CPU's accumulated
 /// virtual busy time.
 #[allow(clippy::type_complexity)]
-fn batch_worker<A: Architecture>(
+fn batch_worker(
     k: usize,
     assigned: Vec<(usize, ConcurrentJob)>,
-    rt: &OrderedLock<A::Runtime>,
+    rt: &RuntimeLock,
     obs: &Obs,
-    mode: WorkerMode<'_>,
+    mode: WorkerMode,
 ) -> Result<(Vec<(usize, Attempt)>, SimDuration), SeaError> {
     let cpu = CpuId(k as u16);
     let mut busy = SimDuration::ZERO;
     let mut results = Vec::with_capacity(assigned.len());
     for (i, job) in assigned {
-        let attempt = match mode.start::<A>(i, cpu, job) {
+        let attempt = match mode.start(rt, i, cpu, job) {
             Ok(mut driver) => {
-                let result = driver.run_to_terminal(rt, obs, mode.journal());
+                let result = driver.run_to_terminal(rt, obs);
                 let (attempt, charged) = mode.finish(rt, obs, driver, result)?;
                 busy += charged;
                 attempt
@@ -50,13 +49,13 @@ fn batch_worker<A: Architecture>(
 /// Runs one epoch of the batch across `workers` scoped OS threads.
 /// Returns the per-job attempts (indexed by job) and each CPU's busy
 /// time for the epoch.
-pub(crate) fn run_epoch<A: Architecture>(
+pub(crate) fn run_epoch(
     workers: usize,
     n_jobs: usize,
     pending: Vec<(usize, ConcurrentJob)>,
-    rt: &OrderedLock<A::Runtime>,
+    rt: &RuntimeLock,
     obs: &Obs,
-    mode: WorkerMode<'_>,
+    mode: WorkerMode,
 ) -> Result<(Vec<Option<Attempt>>, Vec<SimDuration>), SeaError> {
     // Jobs keep their static assignment (job i → worker/CPU
     // i % workers) in every epoch.
@@ -72,7 +71,7 @@ pub(crate) fn run_epoch<A: Architecture>(
         let handles: Vec<_> = per_worker
             .into_iter()
             .enumerate()
-            .map(|(k, assigned)| scope.spawn(move || batch_worker::<A>(k, assigned, rt, obs, mode)))
+            .map(|(k, assigned)| scope.spawn(move || batch_worker(k, assigned, rt, obs, mode)))
             .collect();
         for (k, handle) in handles.into_iter().enumerate() {
             let (results, worker_busy) = handle

@@ -193,18 +193,6 @@ impl ChurnPlan {
         self.tcb_push
     }
 
-    /// True if the plan can never perturb a run.
-    pub fn is_calm(&self) -> bool {
-        self.net.is_lossless()
-            && self.reboot_rate == 0
-            && self.rotation_rate == 0
-            && self.tcb_push.is_none()
-            && self.replay_rate == 0
-            && self.stale_rate == 0
-            && self.bitflip_rate == 0
-            && self.forge_rate == 0
-    }
-
     fn rate_roll(&self, site: u64, key: u64, rate: u32) -> bool {
         rate != 0
             && (mix64(self.seed ^ site.rotate_left(17) ^ mix64(key)) % RATE_DENOM as u64)
@@ -303,14 +291,12 @@ mod tests {
     #[test]
     fn calm_plan_decides_nothing() {
         let calm = ChurnPlan::calm();
-        assert!(calm.is_calm());
         for p in 0..32u64 {
             assert_eq!(calm.reboot_instant(p), None);
             assert_eq!(calm.available_at(p, 123), 123);
             assert_eq!(calm.rotation_for(p), None);
             assert!(calm.adversaries_for(p).is_empty());
         }
-        assert!(!churny().is_calm());
     }
 
     #[test]

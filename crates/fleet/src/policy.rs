@@ -119,14 +119,6 @@ impl FleetPolicy {
         self
     }
 
-    /// Overrides the exponential-backoff base and cap.
-    #[must_use]
-    pub fn with_backoff_ns(mut self, base_ns: u64, cap_ns: u64) -> Self {
-        self.backoff_base_ns = base_ns;
-        self.backoff_cap_ns = cap_ns.max(base_ns);
-        self
-    }
-
     /// Total attempts allowed per request (first send included).
     pub fn max_attempts(&self) -> u32 {
         self.max_attempts
@@ -148,12 +140,6 @@ impl FleetPolicy {
             .saturating_mul(factor)
             .min(self.backoff_cap_ns)
     }
-
-    /// True if the policy never retries and never times out — the
-    /// lifecycle degenerates to the original single-shot pipeline.
-    pub fn is_plain(&self) -> bool {
-        self.max_attempts == 1 && self.timeout_ns == u64::MAX
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +149,6 @@ mod tests {
     #[test]
     fn plain_policy_is_single_shot() {
         let p = FleetPolicy::plain();
-        assert!(p.is_plain());
         assert_eq!(p.max_attempts(), 1);
         assert_eq!(p.timeout_ns(), u64::MAX);
         assert_eq!(p.backoff_ns(1), 0);
@@ -171,21 +156,13 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = FleetPolicy::plain()
-            .with_max_attempts(6)
-            .with_timeout_ns(1_000)
-            .with_backoff_ns(100, 350);
-        assert!(!p.is_plain());
+        let p = FleetPolicy::resilient();
         assert_eq!(p.backoff_ns(0), 0);
-        assert_eq!(p.backoff_ns(1), 100);
-        assert_eq!(p.backoff_ns(2), 200);
-        assert_eq!(p.backoff_ns(3), 350, "capped");
-        assert_eq!(p.backoff_ns(63), 350, "shift overflow saturates");
-        // Cap is clamped up to the base.
-        assert_eq!(
-            FleetPolicy::plain().with_backoff_ns(500, 10).backoff_ns(1),
-            500
-        );
+        assert_eq!(p.backoff_ns(1), 500_000);
+        assert_eq!(p.backoff_ns(2), 1_000_000);
+        assert_eq!(p.backoff_ns(5), 8_000_000);
+        assert_eq!(p.backoff_ns(6), 8_000_000, "capped");
+        assert_eq!(p.backoff_ns(63), 8_000_000, "shift overflow saturates");
     }
 
     #[test]

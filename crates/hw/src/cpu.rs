@@ -134,11 +134,6 @@ impl Cpu {
             self.state = CpuExecState::Normal;
         }
     }
-
-    /// Virtual time to execute `cycles` CPU cycles at this core's clock.
-    pub fn cycles_to_duration(&self, cycles: u64) -> SimDuration {
-        SimDuration::from_ns_f64(cycles as f64 / self.ghz)
-    }
 }
 
 #[cfg(test)]
@@ -181,12 +176,6 @@ mod tests {
         cpu.enter_secure(PhysAddr(0));
         cpu.wake();
         assert!(cpu.in_secure_exec());
-    }
-
-    #[test]
-    fn cycle_accounting_uses_clock_rate() {
-        let cpu = Cpu::new(CpuId(0), 2.0);
-        assert_eq!(cpu.cycles_to_duration(2_000_000), SimDuration::from_ms(1));
     }
 
     #[test]

@@ -302,37 +302,6 @@ impl Machine {
         self.memory.write_raw(addr, data)
     }
 
-    /// Permission-checked write that *records* denials in the trace,
-    /// mirroring [`Machine::read_traced`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::write`].
-    pub fn write_traced(
-        &mut self,
-        requester: Requester,
-        addr: PhysAddr,
-        data: &[u8],
-    ) -> Result<(), HwError> {
-        let result = self.write(requester, addr, data);
-        match &result {
-            Err(HwError::AccessDenied { .. }) => {
-                let at = self.clock.now();
-                self.trace
-                    .record(at, TraceEvent::AccessDenied { requester, addr });
-            }
-            Ok(()) => {
-                if let Requester::Device(device) = requester {
-                    let at = self.clock.now();
-                    self.trace
-                        .record(at, TraceEvent::DmaAccess { device, addr });
-                }
-            }
-            Err(_) => {}
-        }
-        result
-    }
-
     /// DMA read issued by device `dev` (convenience wrapper).
     ///
     /// # Errors
@@ -340,15 +309,6 @@ impl Machine {
     /// As for [`Machine::read`].
     pub fn dma_read(&self, dev: DeviceId, addr: PhysAddr, len: usize) -> Result<Vec<u8>, HwError> {
         self.read(Requester::Device(dev), addr, len)
-    }
-
-    /// DMA write issued by device `dev` (convenience wrapper).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::write`].
-    pub fn dma_write(&mut self, dev: DeviceId, addr: PhysAddr, data: &[u8]) -> Result<(), HwError> {
-        self.write(Requester::Device(dev), addr, data)
     }
 }
 
@@ -457,7 +417,7 @@ mod tests {
             Err(HwError::AccessDenied { .. })
         ));
         assert!(matches!(
-            m.dma_write(DeviceId(0), base, b"evil"),
+            m.write(Requester::Device(DeviceId(0)), base, b"evil"),
             Err(HwError::AccessDenied { .. })
         ));
     }
@@ -490,13 +450,6 @@ mod tests {
         assert!(m
             .read_traced(Requester::Device(DeviceId(0)), PhysAddr(0), 4)
             .is_ok());
-        // Writes mirror the behaviour.
-        assert!(m
-            .write_traced(Requester::Cpu(CpuId(1)), base, b"x")
-            .is_err());
-        assert!(m
-            .write_traced(Requester::Device(DeviceId(0)), PhysAddr(64), b"y")
-            .is_ok());
         let denials = m
             .trace()
             .filtered(|e| matches!(e, crate::TraceEvent::AccessDenied { .. }))
@@ -505,8 +458,8 @@ mod tests {
             .trace()
             .filtered(|e| matches!(e, crate::TraceEvent::DmaAccess { .. }))
             .count();
-        assert_eq!(denials, 2);
-        assert_eq!(dma, 2);
+        assert_eq!(denials, 1);
+        assert_eq!(dma, 1);
     }
 
     #[test]

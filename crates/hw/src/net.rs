@@ -131,11 +131,6 @@ impl NetPlan {
         self.seed
     }
 
-    /// True if this plan can never perturb a delivery.
-    pub fn is_lossless(&self) -> bool {
-        self.drop_rate == 0 && self.delay_rate == 0 && self.dup_rate == 0 && self.reorder_rate == 0
-    }
-
     fn rate_hit(&self, site: u64, key: u64, seq: u64, rate: u32) -> Option<XorShift> {
         if rate == 0 {
             return None;
@@ -206,7 +201,6 @@ mod tests {
     #[test]
     fn lossless_delivers_exactly_once_on_time() {
         let plan = NetPlan::new(0);
-        assert!(plan.is_lossless());
         for seq in 0..64u64 {
             assert_eq!(plan.deliveries(9, seq), vec![0]);
             assert!(plan.roll_faults(9, seq).is_empty());

@@ -103,14 +103,6 @@ impl VirtTiming {
             vm_exit: SimDuration::from_ns(449),
         }
     }
-
-    /// The timing natural for `vendor`.
-    pub fn for_vendor(vendor: CpuVendor) -> Self {
-        match vendor {
-            CpuVendor::Amd => VirtTiming::amd(),
-            CpuVendor::Intel => VirtTiming::intel(),
-        }
-    }
 }
 
 /// A complete hardware platform description.
@@ -367,8 +359,6 @@ mod tests {
         let intel = VirtTiming::intel();
         assert_eq!(intel.vm_enter, SimDuration::from_ns(446));
         assert_eq!(intel.vm_exit, SimDuration::from_ns(449));
-        assert_eq!(VirtTiming::for_vendor(CpuVendor::Amd), amd);
-        assert_eq!(VirtTiming::for_vendor(CpuVendor::Intel), intel);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! [`ShardedTpmArbiter`] is that lock as a virtual-time resource, and
 //! the discrete-event executor runs it in front of every quote. The
-//! thread-pool executor does not use it: sea-core's rank-0 runtime
-//! lock already serializes every TPM command.
+//! thread-pool executor does not use it: sea-core's engine lock already
+//! serializes every TPM command.
 
 use sea_hw::{CpuId, SimTime};
 

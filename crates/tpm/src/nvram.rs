@@ -76,11 +76,6 @@ impl Nvram {
     pub fn delete_blob(&mut self, index: u32) -> bool {
         self.blobs.remove(&index).is_some()
     }
-
-    /// Number of blobs currently stored.
-    pub fn blob_count(&self) -> usize {
-        self.blobs.len()
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +88,6 @@ mod tests {
         assert_eq!(nv.ek_seed(), b"ek-seed");
         assert_eq!(nv.counter(0), 0);
         assert_eq!(nv.counter(42), 0);
-        assert_eq!(nv.blob_count(), 0);
         assert!(nv.read_blob(0).is_none());
     }
 
@@ -114,7 +108,6 @@ mod tests {
         assert_eq!(nv.read_blob(9), Some(&b"first"[..]));
         nv.store_blob(9, b"second");
         assert_eq!(nv.read_blob(9), Some(&b"second"[..]));
-        assert_eq!(nv.blob_count(), 1);
         assert!(nv.delete_blob(9));
         assert!(!nv.delete_blob(9));
         assert!(nv.read_blob(9).is_none());

@@ -42,21 +42,28 @@ if [ -n "$threads" ]; then
   echo "$threads" >&2
   exit 1
 fi
-# The engine lock decomposition is rank-checked: every shared-state
-# lock in sea-core must be an OrderedLock from the lock-hierarchy
-# module, so a raw std Mutex anywhere else would dodge the debug-build
-# ordering assertions. sea-tpm holds no lock at all: each executor
-# serializes the TPM in one place (the thread pool through the rank-0
-# runtime lock, the discrete-event executor through ShardedTpmArbiter),
-# and a Mutex there would be a second, unranked serialization point.
-# (The pattern is `Mutex<` so `MutexGuard` in signatures stays legal.)
-mutexes=$(grep -rn 'Mutex<' crates/core/src crates/tpm/src \
-  --include='*.rs' \
-  | grep -v 'MutexGuard' \
-  | grep -v 'crates/core/src/locks.rs' || true)
-if [ -n "$mutexes" ]; then
-  echo "ci.sh: raw Mutex in sea-core outside src/locks.rs (use OrderedLock) or in sea-tpm:" >&2
-  echo "$mutexes" >&2
+# The session engine has one lock: the mutex in src/engine.rs that
+# guards the EnhancedSea runtime and, during a durable batch, that
+# batch's epoch state. sea-core names the raw `Mutex<` type on exactly
+# that one line, so no second lock can appear beside it unnoticed.
+# sea-tpm holds no lock at all: each executor serializes the TPM in one
+# place (the thread pool through the engine lock, the discrete-event
+# executor through ShardedTpmArbiter), and a Mutex there would be a
+# second serialization point. (The pattern is `Mutex<` so `MutexGuard`
+# in signatures stays legal.)
+core_mutexes=$(grep -rn 'Mutex<' crates/core/src --include='*.rs' \
+  | grep -v 'MutexGuard' || true)
+if [ "$(printf '%s\n' "$core_mutexes" | grep -c .)" -ne 1 ] \
+  || [ "$(printf '%s\n' "$core_mutexes" | grep -c '^crates/core/src/engine.rs:')" -ne 1 ]; then
+  echo "ci.sh: sea-core must name Mutex< on exactly one line, the engine lock in src/engine.rs:" >&2
+  echo "$core_mutexes" >&2
+  exit 1
+fi
+tpm_mutexes=$(grep -rn 'Mutex<' crates/tpm/src --include='*.rs' \
+  | grep -v 'MutexGuard' || true)
+if [ -n "$tpm_mutexes" ]; then
+  echo "ci.sh: raw Mutex in sea-tpm:" >&2
+  echo "$tpm_mutexes" >&2
   exit 1
 fi
 # The remote verifier is the relying party: it re-implements the

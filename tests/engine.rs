@@ -9,9 +9,9 @@
 
 use sea_core::engine::{rate_per_sec, speedup};
 use sea_core::{
-    BatchPolicy, ConcurrentJob, FnPal, JobResult, LegacySea, PalOutcome, RetryPolicy, SeaError,
-    SecurePlatform, SessionEngine, SessionJournal, SessionReport, SessionResult, SessionTally,
-    Slaunch, Stepped, JOURNAL_NV_INDEX,
+    BatchPolicy, ConcurrentJob, Executor, FnPal, JobResult, LegacySea, PalOutcome, RetryPolicy,
+    SeaError, SecurePlatform, SessionEngine, SessionJournal, SessionReport, SessionResult,
+    SessionTally, Slaunch, Stepped, JOURNAL_NV_INDEX,
 };
 use sea_hw::{
     CpuId, FaultPlan, Platform, ResetPlan, SimDuration, TraceEvent, RATE_DENOM, RESET_REBOOT_COST,
@@ -428,6 +428,52 @@ fn durability_defaults_the_retry_policy() {
         .with_retry(RetryPolicy::default())
         .with_durability(ResetPlan::reset_free()));
     assert_eq!(implicit, explicit);
+}
+
+#[test]
+fn durable_batch_never_restores_an_earlier_batchs_checkpoint() {
+    // NVRAM outlives batches. A second durable batch that loses power
+    // before its first seal must relaunch its own sessions, not restore
+    // the first batch's checkpoint as its own.
+    let batch = |base: u8| -> Vec<ConcurrentJob> {
+        (0..4u8)
+            .map(|i| {
+                ConcurrentJob::new(
+                    Box::new(FnPal::new("batch", move |_| {
+                        Ok(PalOutcome::Exit(vec![base + i]))
+                    })),
+                    [],
+                )
+            })
+            .collect()
+    };
+    for executor in [Executor::ThreadPool, Executor::DiscreteEvent] {
+        let mut pool = engine(4, 4).with_executor(executor);
+        pool.set_fault_plan(Some(FaultPlan::fault_free()));
+        let first = pool
+            .run(
+                batch(0),
+                &BatchPolicy::plain().with_durability(ResetPlan::reset_free()),
+            )
+            .unwrap();
+        assert_eq!(first.quoted(), 4, "{executor:?}");
+        let second = pool
+            .run(
+                batch(10),
+                &BatchPolicy::plain()
+                    .with_durability(ResetPlan::reset_free().with_cut_after_events(0)),
+            )
+            .unwrap();
+        assert_eq!(second.resets, 1, "{executor:?}");
+        assert!(second.committed.is_empty(), "{executor:?}");
+        assert_eq!(second.relaunched, [0, 1, 2, 3], "{executor:?}");
+        let outputs: Vec<&[u8]> = second
+            .sessions
+            .iter()
+            .map(|s| quoted(s).output.as_slice())
+            .collect();
+        assert_eq!(outputs, [[10], [11], [12], [13]], "{executor:?}");
+    }
 }
 
 #[test]

@@ -48,9 +48,9 @@ fn engine(n_cpus: u16, workers: usize, executor: Executor) -> SessionEngine<Slau
         KeyStrength::Demo512,
         b"exec-diff",
     );
-    let mut pool = SessionEngine::new(platform, workers).expect("pool fits platform");
-    pool.set_executor(executor);
-    pool
+    SessionEngine::new(platform, workers)
+        .expect("pool fits platform")
+        .with_executor(executor)
 }
 
 /// The chaos-style plan: hot transient faults plus a fatal fraction,
@@ -273,8 +273,9 @@ fn observability_snapshots_agree_across_executors() {
             SecurePlatform::new(Platform::recommended(8), KeyStrength::Demo512, b"exec-diff");
         let (obs, sink) = Obs::recording();
         platform.install_obs(obs);
-        let mut pool = SessionEngine::<Slaunch>::new(platform, workers).expect("pool fits");
-        pool.set_executor(executor);
+        let mut pool = SessionEngine::<Slaunch>::new(platform, workers)
+            .expect("pool fits")
+            .with_executor(executor);
         pool.set_fault_plan(Some(chaos_plan()));
         pool.run(
             batch(),

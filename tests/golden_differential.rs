@@ -107,8 +107,9 @@ impl Scenario {
 /// where it is deterministic under both executors).
 fn run(workers: usize, executor: Executor, scenario: Scenario) -> (BatchOutcome, String) {
     let platform = SecurePlatform::new(Platform::recommended(4), KeyStrength::Demo512, b"golden");
-    let mut pool = SessionEngine::<Slaunch>::new(platform, workers).expect("pool fits platform");
-    pool.set_executor(executor);
+    let mut pool = SessionEngine::<Slaunch>::new(platform, workers)
+        .expect("pool fits platform")
+        .with_executor(executor);
     pool.set_fault_plan(scenario.faults());
     let out = pool
         .run(batch(), &scenario.policy())

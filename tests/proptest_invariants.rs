@@ -534,9 +534,9 @@ fn engine_outcome_invariant_to_submission_order_on_256_virtual_cpus() {
             KeyStrength::Demo512,
             b"perm",
         );
-        let mut pool =
-            SessionEngine::<Slaunch>::new(platform, PERM_CPUS).expect("pool fits platform");
-        pool.set_executor(Executor::DiscreteEvent);
+        let mut pool = SessionEngine::<Slaunch>::new(platform, PERM_CPUS)
+            .expect("pool fits platform")
+            .with_executor(Executor::DiscreteEvent);
         pool.set_fault_plan(Some(
             FaultPlan::new(0x9E12)
                 .with_tpm_rate(8000)
