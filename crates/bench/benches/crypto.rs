@@ -36,7 +36,20 @@ fn bench_rsa() {
         i += 1;
         RsaPrivateKey::generate(512, &mut Drbg::new(&i.to_le_bytes())).unwrap()
     });
+    if !smoke_mode() {
+        let mut i = 0u64;
+        bench("keygen/1024", || {
+            i += 1;
+            RsaPrivateKey::generate(1024, &mut Drbg::new(&i.to_le_bytes())).unwrap()
+        });
+    }
     bench("sign/512", || key.sign_pkcs1v15(&digest).unwrap());
+    // A key restored from its bytes carries no CRT factors, so it signs
+    // with the full `d`, the path the VM's RSASIGN runs.
+    let restored = RsaPrivateKey::from_bytes(&key.to_bytes()).unwrap();
+    bench("sign_restored/512", || {
+        restored.sign_pkcs1v15(&digest).unwrap()
+    });
     if !smoke_mode() {
         bench("sign/1024", || key1024.sign_pkcs1v15(&digest).unwrap());
     }

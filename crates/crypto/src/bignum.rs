@@ -339,9 +339,24 @@ impl BigUint {
         (quot, BigUint::from_u64(rem as u64))
     }
 
+    /// `self mod d` for a nonzero one-limb divisor, without allocating.
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
+        let d = d as u128;
+        let rem = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0, |rem, &limb| ((rem << 64) | limb as u128) % d);
+        rem as u64
+    }
+
     /// Knuth Algorithm D (TAOCP Vol. 2, 4.3.1), 64-bit limb port.
     fn divrem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
-        let shift = divisor.limbs.last().unwrap().leading_zeros() as usize;
+        let top = divisor
+            .limbs
+            .last()
+            .expect("divrem sends only multi-limb divisors here");
+        let shift = top.leading_zeros() as usize;
         let v = divisor.shl_bits(shift).limbs;
         let mut u = self.shl_bits(shift).limbs;
         let n = v.len();
@@ -410,7 +425,8 @@ impl BigUint {
     ///
     /// Uses Montgomery (CIOS) multiplication when the modulus is odd — the
     /// case for every RSA modulus — and falls back to division-based
-    /// square-and-multiply otherwise.
+    /// square-and-multiply otherwise. A base below the modulus is used as
+    /// it is; a larger one is reduced first.
     ///
     /// # Panics
     ///
@@ -423,11 +439,15 @@ impl BigUint {
         if exponent.is_zero() {
             return BigUint::one();
         }
-        let base = self.rem_ref(modulus);
         if modulus.is_even() {
-            return base.modexp_generic(exponent, modulus);
+            return self.modexp_generic(exponent, modulus);
         }
-        Montgomery::new(modulus).modexp(&base, exponent)
+        let mont = Montgomery::new(modulus);
+        if self < modulus {
+            mont.modexp(self, exponent)
+        } else {
+            mont.modexp(&self.rem_ref(modulus), exponent)
+        }
     }
 
     fn modexp_generic(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
@@ -502,20 +522,23 @@ impl Signed {
     fn sub(&self, other: &Signed) -> Signed {
         match (self.neg, other.neg) {
             (false, true) => Signed::pos(self.mag.add_ref(&other.mag)),
-            (true, false) => Signed {
-                neg: !self.mag.add_ref(&other.mag).is_zero(),
-                mag: self.mag.add_ref(&other.mag),
-            },
+            (true, false) => {
+                let mag = self.mag.add_ref(&other.mag);
+                Signed {
+                    neg: !mag.is_zero(),
+                    mag,
+                }
+            }
             (a_neg, _) => {
                 // Same sign: |result| = |a| - |b| with possible flip.
                 if self.mag >= other.mag {
-                    let mag = self.mag.checked_sub(&other.mag).unwrap();
+                    let mag = self.mag.checked_sub(&other.mag).expect("|a| >= |b|");
                     Signed {
                         neg: a_neg && !mag.is_zero(),
                         mag,
                     }
                 } else {
-                    let mag = other.mag.checked_sub(&self.mag).unwrap();
+                    let mag = other.mag.checked_sub(&self.mag).expect("|b| > |a|");
                     Signed {
                         neg: !a_neg && !mag.is_zero(),
                         mag,
@@ -528,7 +551,9 @@ impl Signed {
     fn normalize_mod(&self, modulus: &BigUint) -> BigUint {
         let r = self.mag.rem_ref(modulus);
         if self.neg && !r.is_zero() {
-            modulus.checked_sub(&r).unwrap()
+            modulus
+                .checked_sub(&r)
+                .expect("a remainder is below its modulus")
         } else {
             r
         }
@@ -537,15 +562,19 @@ impl Signed {
 
 /// Montgomery multiplication context (CIOS method) for an odd modulus.
 ///
-/// Crate-internal: [`BigUint::modexp`] builds one per call, and the RSA
-/// CRT path ([`crate::rsa`]) builds one per prime half for every
-/// private-key operation.
+/// Crate-internal: [`BigUint::modexp`] builds one per call, Miller–Rabin
+/// ([`crate::prime`]) one per candidate, and the RSA CRT path
+/// ([`crate::rsa`]) one per prime half for every private-key operation.
+/// An exponentiation pads its operands to the modulus' `k` limbs and
+/// allocates its buffers once, at entry; a multiply allocates nothing.
 pub(crate) struct Montgomery {
+    /// The modulus, `k` limbs.
     m: Vec<u64>,
+    /// `-m^-1 mod 2^64`.
     n0inv: u64,
-    /// R^2 mod m, used to convert into Montgomery form.
-    r2: BigUint,
-    modulus: BigUint,
+    /// `R^2 mod m` at `k` limbs, where `R = 2^(64k)`: the factor that
+    /// converts a value into Montgomery form.
+    r2: Vec<u64>,
 }
 
 impl Montgomery {
@@ -558,96 +587,117 @@ impl Montgomery {
         for _ in 0..6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
         }
-        let n0inv = inv.wrapping_neg();
         let k = m.len();
-        let r = BigUint::one().shl_bits(64 * k).rem_ref(modulus);
-        let r2 = r.mul_ref(&r).rem_ref(modulus);
+        let mut r2 = BigUint::one().shl_bits(128 * k).rem_ref(modulus).limbs;
+        r2.resize(k, 0);
         Montgomery {
             m,
-            n0inv,
+            n0inv: inv.wrapping_neg(),
             r2,
-            modulus: modulus.clone(),
         }
     }
 
-    /// CIOS Montgomery product: returns `a * b * R^-1 mod m` where inputs
-    /// are `k`-limb little-endian values below `m`.
-    #[allow(clippy::needless_range_loop)] // indexed form mirrors the CIOS paper
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.m.len();
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = a.get(i).copied().unwrap_or(0);
+    /// CIOS Montgomery product: leaves `a * b * R^-1 mod m` in `t[..k]`,
+    /// for `a` and `b` below `m` whose first `k` limbs are their value,
+    /// and `t` a scratch buffer of `k + 2` limbs.
+    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let m = &self.m[..];
+        let k = m.len();
+        let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 2]);
+        t.fill(0);
+        for &ai in a {
             // t += ai * b
             let mut carry: u128 = 0;
-            for j in 0..k {
-                let s = t[j] as u128 + ai as u128 * b.get(j).copied().unwrap_or(0) as u128 + carry;
-                t[j] = s as u64;
+            for (tj, &bj) in t.iter_mut().zip(b) {
+                let s = *tj as u128 + ai as u128 * bj as u128 + carry;
+                *tj = s as u64;
                 carry = s >> 64;
             }
             let s = t[k] as u128 + carry;
             t[k] = s as u64;
-            t[k + 1] += (s >> 64) as u64;
+            t[k + 1] = (s >> 64) as u64;
 
             // Reduce one limb: t = (t + mi * m) / 2^64
             let mi = t[0].wrapping_mul(self.n0inv);
-            let s = t[0] as u128 + mi as u128 * self.m[0] as u128;
-            let mut carry = s >> 64;
+            let mut carry = (t[0] as u128 + mi as u128 * m[0] as u128) >> 64;
             for j in 1..k {
-                let s = t[j] as u128 + mi as u128 * self.m[j] as u128 + carry;
+                let s = t[j] as u128 + mi as u128 * m[j] as u128 + carry;
                 t[j - 1] = s as u64;
                 carry = s >> 64;
             }
             let s = t[k] as u128 + carry;
             t[k - 1] = s as u64;
             t[k] = t[k + 1] + (s >> 64) as u64;
-            t[k + 1] = 0;
         }
 
-        // Conditional final subtraction: result may be in [0, 2m).
-        let needs_sub = t[k] != 0 || cmp_limbs(&t[..k], &self.m) != Ordering::Less;
-        let mut out = t[..k].to_vec();
-        if needs_sub {
-            let mut borrow: i128 = 0;
-            for j in 0..k {
-                let d = out[j] as i128 - self.m[j] as i128 - borrow;
-                if d < 0 {
-                    out[j] = (d + (1i128 << 64)) as u64;
-                    borrow = 1;
-                } else {
-                    out[j] = d as u64;
-                    borrow = 0;
-                }
+        // Conditional final subtraction: the product lies in [0, 2m).
+        if t[k] != 0 || cmp_limbs(&t[..k], m) != Ordering::Less {
+            let mut borrow = false;
+            for (tj, &mj) in t.iter_mut().zip(m) {
+                let (d, b1) = tj.overflowing_sub(mj);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *tj = d;
+                borrow = b1 | b2;
             }
         }
-        out
     }
 
     /// `base^exponent mod m` for `base` already reduced below the modulus.
+    ///
+    /// Scans the exponent from the top in fixed windows: 4 bits wide when
+    /// it is longer than 64 bits (private exponents, Miller–Rabin's `d`),
+    /// so each window costs four squarings and at most one multiply by a
+    /// precomputed power; 1 bit wide otherwise (the public exponent
+    /// 65537), which is square-and-multiply, since a 16-entry table would
+    /// cost more products than it saves.
     pub(crate) fn modexp(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         let k = self.m.len();
-        let mut base_limbs = base.limbs.clone();
-        base_limbs.resize(k, 0);
-        // Convert to Montgomery form.
-        let mut r2 = self.r2.limbs.clone();
-        r2.resize(k, 0);
-        let base_mont = self.mont_mul(&base_limbs, &r2);
-        // result = R mod m in Montgomery form == mont(1) == 1*R
+        let bits = exponent.bit_len();
+        let width = if bits > 64 { 4 } else { 1 };
+        let mut t = vec![0u64; k + 2];
         let mut one = vec![0u64; k];
         one[0] = 1;
-        let mut result = self.mont_mul(&one, &r2);
+        // table[d] = base^d in Montgomery form, for every window digit d;
+        // mont(x, R^2) = xR mod m converts x into that form.
+        let mut table = vec![0u64; k << width];
+        table[k..k + base.limbs.len()].copy_from_slice(&base.limbs);
+        for d in 0..1 << width {
+            match d {
+                0 => self.mont_mul(&one, &self.r2, &mut t),
+                1 => self.mont_mul(&table[k..], &self.r2, &mut t),
+                _ => self.mont_mul(&table[(d - 1) * k..], &table[k..], &mut t),
+            }
+            table[d * k..(d + 1) * k].copy_from_slice(&t[..k]);
+        }
 
-        for i in (0..exponent.bit_len()).rev() {
-            result = self.mont_mul(&result, &result);
-            if exponent.bit(i) {
-                result = self.mont_mul(&result, &base_mont);
+        let digit = |w: usize| {
+            let bit = w * width;
+            (exponent.limbs[bit / 64] >> (bit % 64)) as usize & ((1 << width) - 1)
+        };
+        let windows = bits.div_ceil(width);
+        // The running product, `k + 2` limbs so that it and the scratch
+        // buffer trade places after each product instead of copying.
+        let mut acc = vec![0u64; k + 2];
+        let top = if windows == 0 { 0 } else { digit(windows - 1) };
+        acc[..k].copy_from_slice(&table[top * k..(top + 1) * k]);
+        for w in (0..windows.saturating_sub(1)).rev() {
+            for _ in 0..width {
+                self.mont_mul(&acc, &acc, &mut t);
+                std::mem::swap(&mut acc, &mut t);
+            }
+            let d = digit(w);
+            if d != 0 {
+                self.mont_mul(&acc, &table[d * k..], &mut t);
+                std::mem::swap(&mut acc, &mut t);
             }
         }
-        // Convert out of Montgomery form.
-        let out = self.mont_mul(&result, &one);
-        let mut r = BigUint { limbs: out };
+        // Out of Montgomery form: mont(xR, 1) = x.
+        self.mont_mul(&acc, &one, &mut t);
+        debug_assert_eq!(cmp_limbs(&t[..k], &self.m), Ordering::Less);
+        let mut r = BigUint {
+            limbs: t[..k].to_vec(),
+        };
         r.normalize();
-        debug_assert!(r < self.modulus);
         r
     }
 }
@@ -740,6 +790,8 @@ impl std::ops::Div for &BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prime::{random_below, random_bits};
+    use crate::{Drbg, Sha1};
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -882,6 +934,51 @@ mod tests {
     }
 
     #[test]
+    fn modexp_known_answer() {
+        // Moduli of 1 to 33 limbs, odd and even, each raising a base
+        // below it and one above it to exponents on both sides of every
+        // limb and 4-bit window boundary, folded into one SHA-1 recorded
+        // from the bit-at-a-time square-and-multiply kernel.
+        let mut rng = Drbg::new(b"modexp known answer");
+        let mut fold = Sha1::new();
+        for limbs in 1..=33 {
+            for odd in [true, false] {
+                let mut bytes = rng.fill(8 * limbs);
+                bytes[0] |= 1; // exactly `limbs` limbs
+                let last = bytes.len() - 1;
+                bytes[last] = if odd {
+                    bytes[last] | 1
+                } else {
+                    bytes[last] & !1
+                };
+                let m = BigUint::from_bytes_be(&bytes);
+                let below = random_below(&m, &mut rng);
+                let above = BigUint::from_bytes_be(&rng.fill(8 * limbs + 9));
+                assert!(above > m);
+                for bits in [0, 1, 17, 63, 64, 65, 255, 256, 257, 512, 1024, 2048] {
+                    let e = match bits {
+                        0 => BigUint::zero(),
+                        _ => random_bits(bits - 1, &mut rng)
+                            .add_ref(&BigUint::one().shl_bits(bits - 1)),
+                    };
+                    assert_eq!(e.bit_len(), bits);
+                    for base in [&below, &above] {
+                        let r = base.modexp(&e, &m);
+                        assert!(r < m);
+                        let out = r.to_bytes_be();
+                        fold.update_bytes(&(out.len() as u32).to_be_bytes());
+                        fold.update_bytes(&out);
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            crate::to_hex(&fold.finalize_fixed()),
+            "a1dc1728cb897d690f2d7781aa2daede4ddff86b"
+        );
+    }
+
+    #[test]
     fn montgomery_matches_generic_modexp() {
         // Deterministic pseudo-random multi-limb values.
         let mut seed = 0x1234_5678_9abc_def0u64;
@@ -891,9 +988,13 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for _ in 0..10 {
+        // Exponents of up to 64 bits, then from 65 up to 2,048 bits.
+        let exp_lens = [8usize; 10]
+            .into_iter()
+            .chain([9, 16, 31, 32, 33, 64, 128, 255, 256]);
+        for exp_len in exp_lens {
             let base_bytes: Vec<u8> = (0..24).map(|_| next() as u8).collect();
-            let exp_bytes: Vec<u8> = (0..8).map(|_| next() as u8).collect();
+            let exp_bytes: Vec<u8> = (0..exp_len).map(|_| next() as u8).collect();
             let mut mod_bytes: Vec<u8> = (0..24).map(|_| next() as u8).collect();
             mod_bytes[0] |= 0x80; // full size
             *mod_bytes.last_mut().unwrap() |= 1; // odd

@@ -1,6 +1,6 @@
 //! Probabilistic prime generation (Miller–Rabin) for RSA key generation.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use crate::drbg::Drbg;
 use crate::error::CryptoError;
 
@@ -38,12 +38,8 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pv = BigUint::from_u64(p);
-        if n == &pv {
-            return true;
-        }
-        if n.rem_ref(&pv).is_zero() {
-            return false;
+        if n.rem_u64(p) == 0 {
+            return n == &BigUint::from_u64(p);
         }
     }
 
@@ -58,11 +54,12 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
     }
 
     let two = BigUint::from_u64(2);
+    let mont = Montgomery::new(n);
     'witness: for _ in 0..MR_ROUNDS {
         // Witness a in [2, n-2]
         let a = random_below(&n_minus_1, rng);
         let a = if a < two { two.clone() } else { a };
-        let mut x = a.modexp(&d, n);
+        let mut x = mont.modexp(&a, &d);
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
         }
@@ -142,6 +139,7 @@ fn force_bit(v: BigUint, bit: usize) -> BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sha1;
 
     #[test]
     fn small_primes_recognized() {
@@ -175,6 +173,48 @@ mod tests {
                 "Carmichael {c} should be composite"
             );
         }
+    }
+
+    #[test]
+    fn pseudoprime_verdicts_known_answer() {
+        // Carmichael numbers (Chernick's (6k+1)(12k+1)(18k+1) beyond one
+        // limb) and strong pseudoprimes to the first 9, 12 and 13 prime
+        // bases, all with every factor above the trial-division primes so
+        // only Miller–Rabin can reject them, then primes for contrast. The
+        // witness stream's next word after each verdict is folded into a
+        // SHA-1, so a change in how many witnesses were drawn shows too.
+        let hex = |s: &str| BigUint::from_bytes_be(&crate::from_hex(s).unwrap());
+        let mersenne = |p: usize| {
+            BigUint::one()
+                .shl_bits(p)
+                .checked_sub(&BigUint::one())
+                .unwrap()
+        };
+        let cases = [
+            (hex("14406f288b626f0b4d71"), false),
+            (hex("0a2000000ea3e700070e6d2ae12238f401a9"), false),
+            (
+                hex("01440000000000234d9bc0000001483f3d83b00003f95773cb3301"),
+                false,
+            ),
+            (hex("351591274f9af9fb"), false),
+            (hex("437ae92817f9fc85b7e5"), false),
+            (hex("02be6951adc5b22410a5fd"), false),
+            (mersenne(61), true),
+            (mersenne(89), true),
+            (mersenne(127), true),
+            (mersenne(521), true),
+        ];
+        let mut rng = Drbg::new(b"verdict known answer");
+        let mut fold = Sha1::new();
+        for (n, prime) in cases {
+            assert_eq!(is_probably_prime(&n, &mut rng), prime, "{n:?}");
+            fold.update_bytes(&rng.next_u64().to_be_bytes());
+        }
+        assert_eq!(
+            crate::to_hex(&fold.finalize_fixed()),
+            "408f31c218ef7f0593858cccd68b9f9aa441a607"
+        );
     }
 
     #[test]

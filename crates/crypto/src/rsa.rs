@@ -324,8 +324,8 @@ impl RsaPrivateKey {
             debug_assert_eq!(n.bit_len(), bits);
             let phi = p
                 .checked_sub(&one)
-                .unwrap()
-                .mul_ref(&q.checked_sub(&one).unwrap());
+                .expect("a generated prime is above 1")
+                .mul_ref(&q.checked_sub(&one).expect("a generated prime is above 1"));
             if !phi.gcd(&e).is_one() {
                 continue;
             }
@@ -895,6 +895,46 @@ mod tests {
             key.sign_pkcs1v15(&digest).err(),
             Some(CryptoError::CrtFault)
         );
+    }
+
+    #[test]
+    fn keys_signatures_and_oaep_known_answer() {
+        // Generated keys, CRT and restored-key (full-`d`) signatures, and
+        // OAEP ciphertexts under a fixed DRBG, each folded into a SHA-1
+        // recorded from the bit-at-a-time square-and-multiply kernel.
+        let mut keys = Sha1::new();
+        let mut sigs = Sha1::new();
+        let mut cts = Sha1::new();
+        let fold = |h: &mut Sha1, bytes: &[u8]| {
+            h.update_bytes(&(bytes.len() as u32).to_be_bytes());
+            h.update_bytes(bytes);
+        };
+        for (bits, seed) in [
+            (512, b"known answer 512".as_slice()),
+            (1024, b"known answer 1024"),
+        ] {
+            let key = RsaPrivateKey::generate(bits, &mut Drbg::new(seed)).unwrap();
+            fold(&mut keys, &key.to_bytes());
+            let restored = RsaPrivateKey::from_bytes(&key.to_bytes()).unwrap();
+            for msg in [b"".as_slice(), b"quote", b"composite pcr state"] {
+                let digest = Sha1::digest(msg);
+                let sig = key.sign_pkcs1v15(&digest).unwrap();
+                assert_eq!(restored.sign_pkcs1v15(&digest).unwrap(), sig);
+                fold(&mut sigs, &sig.0);
+            }
+            let mut rng = Drbg::new(b"known answer oaep");
+            let label = OaepLabel(b"SEAL".to_vec());
+            for pt in [b"".as_slice(), b"secret PAL state"] {
+                let ct = key.public_key().encrypt_oaep(pt, &label, &mut rng).unwrap();
+                assert_eq!(key.decrypt_oaep(&ct, &label).unwrap(), pt);
+                assert_eq!(restored.decrypt_oaep(&ct, &label).unwrap(), pt);
+                fold(&mut cts, &ct);
+            }
+        }
+        let hex = |h: Sha1| crate::to_hex(&h.finalize_fixed());
+        assert_eq!(hex(keys), "20595f1c97eee0d654284d9dee5c7e8e1fb72862");
+        assert_eq!(hex(sigs), "c2352255511896eaf72519e867fd0f97de30acbb");
+        assert_eq!(hex(cts), "e583bf6c15918fccef9121fd76fe2d8ea2c2286f");
     }
 
     #[test]

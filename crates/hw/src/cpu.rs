@@ -44,7 +44,6 @@ pub enum CpuExecState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cpu {
     id: CpuId,
-    ghz: f64,
     state: CpuExecState,
     interrupts_enabled: bool,
     /// Proposed hardware: OS-configured bound on PAL execution (§5.3.1).
@@ -52,7 +51,9 @@ pub struct Cpu {
 }
 
 impl Cpu {
-    /// Creates an idle core with the given clock rate in GHz.
+    /// Creates an idle core with the given clock rate in GHz. The rate is
+    /// checked but not kept: every cost is charged as a duration, never
+    /// in cycles.
     ///
     /// # Panics
     ///
@@ -61,7 +62,6 @@ impl Cpu {
         assert!(ghz.is_finite() && ghz > 0.0, "clock rate must be positive");
         Cpu {
             id,
-            ghz,
             state: CpuExecState::Normal,
             interrupts_enabled: true,
             preemption_timer: None,
@@ -71,11 +71,6 @@ impl Cpu {
     /// This core's identifier.
     pub fn id(&self) -> CpuId {
         self.id
-    }
-
-    /// Clock rate in GHz.
-    pub fn ghz(&self) -> f64 {
-        self.ghz
     }
 
     /// Current execution state.

@@ -27,6 +27,12 @@ cargo test -q --workspace --offline
 echo "== cargo test under the discrete-event executor (offline) =="
 SEA_EXECUTOR=des cargo test -q --workspace --offline
 
+echo "== sea-crypto tests, optimized (offline) =="
+# A release build wraps integer overflow where a debug build panics, so
+# the bignum kernel's carry arithmetic is checked against its recorded
+# known answers in the build every bench and experiment runs.
+cargo test -q --release -p sea-crypto --offline
+
 echo "== unified-engine guardrails =="
 # sea-core's public API must stay fully documented (the crate-level
 # lint is load-bearing: rustdoc warnings above only catch broken links).

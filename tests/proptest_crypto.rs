@@ -114,6 +114,33 @@ fn modexp_product_law() {
 }
 
 #[test]
+fn modexp_matches_square_and_multiply_reference() {
+    check("modexp_matches_square_and_multiply_reference", CASES, |t| {
+        // Moduli of up to 33 limbs, odd and even; exponents of up to
+        // 2,104 bits, so every exponentiation path is reached; bases at
+        // or above the modulus, so the entry reduction runs too.
+        let mut m = big(t.bytes(1, 8 * 33 + 1));
+        if m.bit_len() < 2 {
+            m = BigUint::from_u64(2);
+        }
+        if m.is_even() == t.bool() {
+            m = &m + &BigUint::one();
+        }
+        let e = big(t.bytes(0, 264));
+        let b = &m + &big(t.bytes(0, 8 * 34));
+        let mut reference = BigUint::one();
+        for i in (0..e.bit_len()).rev() {
+            reference = reference.mul_ref(&reference).rem_ref(&m);
+            if e.bit(i) {
+                reference = reference.mul_ref(&b).rem_ref(&m);
+            }
+        }
+        prop_assert_eq!(b.modexp(&e, &m), reference);
+        Ok(())
+    });
+}
+
+#[test]
 fn mod_inverse_is_inverse() {
     check("mod_inverse_is_inverse", CASES, |t| {
         let a = big(t.bytes(1, 16));
