@@ -6,7 +6,10 @@
 //! the CI smoke pass.
 
 use sea_bench::timing::{bench, group, mib_per_sec};
-use sea_core::{EnhancedSea, FnPal, LegacySea, PalOutcome, SecurePlatform};
+use sea_core::{
+    EnhancedSea, FnPal, JobResult, LegacySea, PalOutcome, SecurePlatform, SessionJournal,
+    SessionReport, SessionResult,
+};
 use sea_hw::{CpuId, Platform, SimDuration};
 use sea_tpm::{KeyStrength, PcrIndex, Tpm};
 
@@ -39,6 +42,45 @@ fn bench_tpm_ops() {
         "",
         mib_per_sec(state.len(), t.median())
     );
+}
+
+fn bench_journal() {
+    group("journal");
+    // A durable commit's checkpoint over a ledger of 1 and of 128
+    // sessions (0 and 127 earlier commits). Each timed commit rewrites
+    // the last session's record, alternating its output, so every
+    // checkpoint appends a one-record frame and seals the fixed-size
+    // head: the two rows should match.
+    let mut tpm = Tpm::new(sea_hw::TpmKind::Broadcom, KeyStrength::Demo512, b"bench");
+    let quote = tpm.quote(b"nonce", &[PcrIndex(17)]).unwrap().value;
+    let result = |output: u8| SessionResult::Quoted {
+        result: JobResult {
+            output: vec![output; 8],
+            report: SessionReport::default(),
+            quote_cost: SimDuration::from_us(880),
+            cpu: CpuId(0),
+        },
+        quote: quote.clone(),
+        retries: 0,
+        recovery_cost: SimDuration::ZERO,
+    };
+    let results = [result(0), result(1)];
+    for sessions in [1u64, 128] {
+        let mut tpm = tpm.clone();
+        let mut journal = SessionJournal::new();
+        for key in 0..sessions {
+            journal.record_intent(key);
+            journal.record_launched(key);
+            journal.commit(key, &results[0]);
+            journal.checkpoint(&mut tpm).unwrap();
+        }
+        let mut n = 0;
+        bench(&format!("journal/checkpoint/{sessions}"), || {
+            n += 1;
+            journal.commit(sessions - 1, &results[n % 2]);
+            journal.checkpoint(&mut tpm).unwrap()
+        });
+    }
 }
 
 fn bench_late_launch() {
@@ -90,6 +132,7 @@ fn bench_context_switch() {
 
 fn main() {
     bench_tpm_ops();
+    bench_journal();
     bench_late_launch();
     bench_sessions();
     bench_context_switch();

@@ -13,9 +13,9 @@
 //!   `sea_os::LegacyBatch` instead. The engine's behavior is composed
 //!   from a [`BatchPolicy`]: add a [`RetryPolicy`] for bounded fault
 //!   recovery, add a [`ResetPlan`] for crash-consistent durability
-//!   (write-ahead [`SessionJournal`] sealed into TPM NVRAM), pick a
-//!   worker count for concurrency. Every combination returns the same
-//!   [`BatchOutcome`].
+//!   (write-ahead [`SessionJournal`] logged into TPM NVRAM under a
+//!   sealed head), pick a worker count for concurrency. Every
+//!   combination returns the same [`BatchOutcome`].
 //!
 //! # Executors
 //!
@@ -63,7 +63,7 @@ use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sea_hw::{CpuId, FaultPlan, Layer, Obs, ResetPlan, SimDuration, TraceEvent, PLATFORM_TRACK};
-use sea_tpm::{Quote, SealedBlob};
+use sea_tpm::Quote;
 
 use crate::driver::SessionDriver;
 use crate::enhanced::{EnhancedSea, PalId, PalStep};
@@ -75,10 +75,17 @@ use crate::recovery::RetryPolicy;
 use crate::report::SessionReport;
 use crate::{des, threadpool};
 
-/// TPM NVRAM index where the durable engine parks the sealed session
-/// journal ("SJNL" in ASCII). One checkpoint blob lives here at a time;
-/// each terminal commit overwrites it.
+/// TPM NVRAM index where the durable engine parks the sealed head of
+/// its session journal ("SJNL" in ASCII): the log's format tag, length
+/// and hash-chain head, sealed to the empty PCR selection. One head
+/// lives here at a time; each checkpoint overwrites it, and pins the log
+/// at [`JOURNAL_LOG_NV_INDEX`].
 pub const JOURNAL_NV_INDEX: u32 = 0x534a_4e4c;
+
+/// TPM NVRAM index of the session journal's append-only log ("SJLG" in
+/// ASCII): one frame of changed records per checkpoint, pinned by the
+/// head at [`JOURNAL_NV_INDEX`].
+pub const JOURNAL_LOG_NV_INDEX: u32 = 0x534a_4c47;
 
 /// Which backend executes a batch epoch.
 ///
@@ -474,10 +481,10 @@ impl BatchPolicy {
     }
 
     /// Adds crash-consistent durability: terminal results are committed
-    /// to a write-ahead journal sealed into TPM NVRAM, and `plan`'s
-    /// power losses reboot the platform and relaunch whatever had not
-    /// committed. Implies keyed (recovered) driving — with no explicit
-    /// retry policy, [`RetryPolicy::default`] applies.
+    /// to a write-ahead journal logged into TPM NVRAM under a sealed
+    /// head, and `plan`'s power losses reboot the platform and relaunch
+    /// whatever had not committed. Implies keyed (recovered) driving —
+    /// with no explicit retry policy, [`RetryPolicy::default`] applies.
     pub fn with_durability(mut self, plan: ResetPlan) -> Self {
         self.durability = Some(plan);
         self
@@ -771,27 +778,17 @@ impl Runtime {
             return Ok(Attempt::Volatile(session, job));
         }
         epoch.pending_seals = 0;
-        let bytes = epoch.journal.to_bytes();
-        // Seal to the empty PCR selection: the blob must unseal on the
-        // rebooted platform, whose PCRs have all reset.
         let tpm = sea.platform_mut().tpm_mut().ok_or(SeaError::NoTpm)?;
-        let sealed = tpm.seal(&bytes, &[])?;
-        tpm.nvram_mut()
-            .store_blob(JOURNAL_NV_INDEX, &sealed.value.to_bytes());
+        let sealed = epoch.journal.checkpoint(tpm)?;
         // Checkpoint time serializes against the whole batch, not one
         // session: platform track.
-        obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.seal", sealed.elapsed);
+        obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.seal", sealed);
         obs.add("journal.commits", 1);
         // Contention attribution: the seal is the long pole of the
         // commit gate's engine-lock hold. Emitted on both executors
         // (pure sums, so it cannot perturb snapshot parity).
-        obs.lock_event(
-            "journal.seal",
-            Layer::Tpm,
-            SimDuration::ZERO,
-            sealed.elapsed,
-        );
-        epoch.journal_overhead += sealed.elapsed;
+        obs.lock_event("journal.seal", Layer::Tpm, SimDuration::ZERO, sealed);
+        epoch.journal_overhead += sealed;
         Ok(Attempt::Committed(session))
     }
 }
@@ -1058,8 +1055,9 @@ impl SessionEngine<Slaunch> {
 
         // Every batch sets the epoch state at its start, so an aborted
         // batch cannot leak into this one. A durable batch also deletes
-        // the checkpoint an earlier batch left in NVRAM: recovery must
-        // restore this batch's sessions, never another's. One obs
+        // the checkpoint an earlier batch left in NVRAM, head and log:
+        // recovery must restore this batch's sessions, never another's,
+        // and its first checkpoint starts a fresh log. One obs
         // handle serves the whole batch (it survives power cycles), so
         // the hot path never locks the runtime just to reach the sink.
         let obs = {
@@ -1070,6 +1068,7 @@ impl SessionEngine<Slaunch> {
             if rt.durable.is_some() {
                 let tpm = rt.sea.platform_mut().tpm_mut().ok_or(SeaError::NoTpm)?;
                 tpm.nvram_mut().delete_blob(JOURNAL_NV_INDEX);
+                tpm.nvram_mut().delete_blob(JOURNAL_LOG_NV_INDEX);
             }
             rt.sea.platform().machine().obs().clone()
         };
@@ -1124,13 +1123,11 @@ impl SessionEngine<Slaunch> {
             obs.add("journal.resets", 1);
             recovery_latency += sea.power_cycle();
             let tpm = sea.platform_mut().tpm_mut().ok_or(SeaError::NoTpm)?;
-            let recovered = match tpm.nvram().read_blob(JOURNAL_NV_INDEX).map(<[u8]>::to_vec) {
-                Some(bytes) => {
-                    let blob = SealedBlob::from_bytes(&bytes)?;
-                    let opened = tpm.unseal(&blob)?;
+            let recovered = match SessionJournal::recover(tpm)? {
+                Some(opened) => {
                     recovery_latency += opened.elapsed;
                     obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.unseal", opened.elapsed);
-                    SessionJournal::from_bytes(&opened.value)?
+                    opened.value
                 }
                 None => SessionJournal::new(),
             };

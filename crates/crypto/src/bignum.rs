@@ -643,6 +643,58 @@ impl Montgomery {
     }
 
     /// `base^exponent mod m` for `base` already reduced below the modulus.
+    pub(crate) fn modexp(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        let k = self.m.len();
+        let mut t = vec![0u64; k + 2];
+        let acc = self.pow(base, exponent, &mut t);
+        // Out of Montgomery form: mont(xR, 1) = x.
+        let mut one = vec![0u64; k];
+        one[0] = 1;
+        self.mont_mul(&acc, &one, &mut t);
+        debug_assert_eq!(cmp_limbs(&t[..k], &self.m), Ordering::Less);
+        let mut r = BigUint {
+            limbs: t[..k].to_vec(),
+        };
+        r.normalize();
+        r
+    }
+
+    /// One Miller–Rabin round for the odd modulus `m = d·2^s + 1`, with
+    /// witness `a` in `[2, m − 2]`: whether `a^d ≡ ±1` or
+    /// `a^(d·2^r) ≡ −1 (mod m)` for some `0 < r < s`, i.e. whether `a`
+    /// fails to prove `m` composite. The squarings stay in Montgomery
+    /// form; the map into it is a bijection on `[0, m)`, so comparing
+    /// with `±1` there decides exactly what it would on plain residues.
+    pub(crate) fn strong_probable_prime(&self, a: &BigUint, d: &BigUint, s: usize) -> bool {
+        let k = self.m.len();
+        let mut t = vec![0u64; k + 2];
+        let mut x = self.pow(a, d, &mut t);
+        // ±1 in Montgomery form, mont(x, R^2) = xR mod m. The modulus is
+        // odd, so m − 1 only clears its lowest bit.
+        let mut one = vec![0u64; k];
+        one[0] = 1;
+        let mut minus_one = self.m.clone();
+        minus_one[0] -= 1;
+        for v in [&mut one, &mut minus_one] {
+            self.mont_mul(v, &self.r2, &mut t);
+            v.copy_from_slice(&t[..k]);
+        }
+        if x[..k] == one[..] || x[..k] == minus_one[..] {
+            return true;
+        }
+        for _ in 1..s {
+            self.mont_mul(&x, &x, &mut t);
+            std::mem::swap(&mut x, &mut t);
+            if x[..k] == minus_one[..] {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// `base^exponent · R mod m` (the power in Montgomery form) for
+    /// `base` below the modulus, in the first `k` limbs of the returned
+    /// `k + 2`-limb buffer; `t` is the `k + 2`-limb scratch buffer.
     ///
     /// Scans the exponent from the top in fixed windows: 4 bits wide when
     /// it is longer than 64 bits (private exponents, Miller–Rabin's `d`),
@@ -650,11 +702,10 @@ impl Montgomery {
     /// precomputed power; 1 bit wide otherwise (the public exponent
     /// 65537), which is square-and-multiply, since a 16-entry table would
     /// cost more products than it saves.
-    pub(crate) fn modexp(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+    fn pow(&self, base: &BigUint, exponent: &BigUint, t: &mut Vec<u64>) -> Vec<u64> {
         let k = self.m.len();
         let bits = exponent.bit_len();
         let width = if bits > 64 { 4 } else { 1 };
-        let mut t = vec![0u64; k + 2];
         let mut one = vec![0u64; k];
         one[0] = 1;
         // table[d] = base^d in Montgomery form, for every window digit d;
@@ -663,9 +714,9 @@ impl Montgomery {
         table[k..k + base.limbs.len()].copy_from_slice(&base.limbs);
         for d in 0..1 << width {
             match d {
-                0 => self.mont_mul(&one, &self.r2, &mut t),
-                1 => self.mont_mul(&table[k..], &self.r2, &mut t),
-                _ => self.mont_mul(&table[(d - 1) * k..], &table[k..], &mut t),
+                0 => self.mont_mul(&one, &self.r2, t),
+                1 => self.mont_mul(&table[k..], &self.r2, t),
+                _ => self.mont_mul(&table[(d - 1) * k..], &table[k..], t),
             }
             table[d * k..(d + 1) * k].copy_from_slice(&t[..k]);
         }
@@ -682,23 +733,16 @@ impl Montgomery {
         acc[..k].copy_from_slice(&table[top * k..(top + 1) * k]);
         for w in (0..windows.saturating_sub(1)).rev() {
             for _ in 0..width {
-                self.mont_mul(&acc, &acc, &mut t);
-                std::mem::swap(&mut acc, &mut t);
+                self.mont_mul(&acc, &acc, t);
+                std::mem::swap(&mut acc, t);
             }
             let d = digit(w);
             if d != 0 {
-                self.mont_mul(&acc, &table[d * k..], &mut t);
-                std::mem::swap(&mut acc, &mut t);
+                self.mont_mul(&acc, &table[d * k..], t);
+                std::mem::swap(&mut acc, t);
             }
         }
-        // Out of Montgomery form: mont(xR, 1) = x.
-        self.mont_mul(&acc, &one, &mut t);
-        debug_assert_eq!(cmp_limbs(&t[..k], &self.m), Ordering::Less);
-        let mut r = BigUint {
-            limbs: t[..k].to_vec(),
-        };
-        r.normalize();
-        r
+        acc
     }
 }
 

@@ -55,21 +55,13 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
 
     let two = BigUint::from_u64(2);
     let mont = Montgomery::new(n);
-    'witness: for _ in 0..MR_ROUNDS {
+    for _ in 0..MR_ROUNDS {
         // Witness a in [2, n-2]
         let a = random_below(&n_minus_1, rng);
         let a = if a < two { two.clone() } else { a };
-        let mut x = mont.modexp(&a, &d);
-        if x.is_one() || x == n_minus_1 {
-            continue 'witness;
+        if !mont.strong_probable_prime(&a, &d, s) {
+            return false;
         }
-        for _ in 0..s - 1 {
-            x = x.mul_ref(&x).rem_ref(n);
-            if x == n_minus_1 {
-                continue 'witness;
-            }
-        }
-        return false;
     }
     true
 }

@@ -11,8 +11,9 @@
 //!   counter, and the ability to perform cryptographic operations" are
 //!   what the paper keeps *inside* the TCB for exactly this reason),
 //! * opaque blobs the platform stores by index — the durable session
-//!   engine keeps its sealed write-ahead journal here, which is what
-//!   makes crash recovery possible at all.
+//!   engine keeps its write-ahead journal here, as an append-only log
+//!   and the sealed head that pins it, which is what makes crash
+//!   recovery possible at all.
 //!
 //! [`Nvram`] is deliberately free of policy: it neither seals nor
 //! authorises. Sealing happens above it ([`crate::Tpm::seal`] binds to
@@ -67,6 +68,16 @@ impl Nvram {
         self.blobs.insert(index, bytes.to_vec());
     }
 
+    /// Appends `bytes` to the blob at `index`, storing them as a new
+    /// blob if none is there: the durable engine's append-only journal
+    /// log grows this way.
+    pub fn append_blob(&mut self, index: u32, bytes: &[u8]) {
+        self.blobs
+            .entry(index)
+            .or_default()
+            .extend_from_slice(bytes);
+    }
+
     /// Reads the blob at `index`, if one is stored.
     pub fn read_blob(&self, index: u32) -> Option<&[u8]> {
         self.blobs.get(&index).map(Vec::as_slice)
@@ -111,6 +122,17 @@ mod tests {
         assert!(nv.delete_blob(9));
         assert!(!nv.delete_blob(9));
         assert!(nv.read_blob(9).is_none());
+    }
+
+    #[test]
+    fn appends_extend_or_create_a_blob() {
+        let mut nv = Nvram::new(b"s");
+        nv.append_blob(4, b"log");
+        assert_eq!(nv.read_blob(4), Some(&b"log"[..]));
+        nv.append_blob(4, b" frame");
+        assert_eq!(nv.read_blob(4), Some(&b"log frame"[..]));
+        nv.append_blob(4, b"");
+        assert_eq!(nv.read_blob(4), Some(&b"log frame"[..]));
     }
 
     #[test]

@@ -123,17 +123,14 @@ impl SealedBlob {
         let rest = bytes.strip_prefix(b"SEALv1").ok_or(TpmError::InvalidBlob)?;
         let mut cursor = rest;
         let mut next = || -> Result<Vec<u8>, TpmError> {
-            if cursor.len() < 4 {
-                return Err(TpmError::InvalidBlob);
-            }
-            let len = u32::from_be_bytes(cursor[..4].try_into().expect("4 bytes")) as usize;
-            cursor = &cursor[4..];
-            if cursor.len() < len {
-                return Err(TpmError::InvalidBlob);
-            }
-            let part = cursor[..len].to_vec();
-            cursor = &cursor[len..];
-            Ok(part)
+            let (len, rest) = cursor
+                .split_first_chunk::<4>()
+                .ok_or(TpmError::InvalidBlob)?;
+            let (part, rest) = rest
+                .split_at_checked(u32::from_be_bytes(*len) as usize)
+                .ok_or(TpmError::InvalidBlob)?;
+            cursor = rest;
+            Ok(part.to_vec())
         };
         let sel_bytes = next()?;
         let composite_bytes = next()?;

@@ -33,6 +33,12 @@ echo "== sea-crypto tests, optimized (offline) =="
 # known answers in the build every bench and experiment runs.
 cargo test -q --release -p sea-crypto --offline
 
+echo "== sea-core tests, optimized (offline) =="
+# The durable journal's log lengths and frame offsets are arithmetic on
+# bytes read back from NVRAM, which a release build wraps where a debug
+# build panics; its tamper and torn-append sweeps run in that build too.
+cargo test -q --release -p sea-core --offline
+
 echo "== unified-engine guardrails =="
 # sea-core's public API must stay fully documented (the crate-level
 # lint is load-bearing: rustdoc warnings above only catch broken links).

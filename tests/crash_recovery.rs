@@ -8,18 +8,19 @@
 //! trace-event boundary. At every cut point the batch must finish with
 //! sessions byte-identical to the crash-free run, no Exclusive sePCR or
 //! protected page left behind, `committed + relaunched = jobs` for the
-//! recovery epoch, and a sealed NVRAM checkpoint that unseals and
-//! replays every terminal — deterministically at any worker count.
+//! recovery epoch, and an NVRAM checkpoint whose sealed head unseals,
+//! whose log matches that head, and which replays every terminal —
+//! deterministically at any worker count.
 //!
 //! `SEA_CRASH_SEED` selects the fault tape the reference batch replays
 //! (scripts/ci.sh pins one).
 
 use sea_core::{
     BatchOutcome, BatchPolicy, ConcurrentJob, FnPal, PalOutcome, RetryPolicy, SecurePlatform,
-    SessionEngine, SessionJournal, SessionResult, Slaunch, JOURNAL_NV_INDEX,
+    SessionEngine, SessionJournal, SessionResult, Slaunch,
 };
 use sea_hw::{CpuId, FaultPlan, Platform, ResetPlan, SimDuration, TraceEvent};
-use sea_tpm::{KeyStrength, SealedBlob};
+use sea_tpm::KeyStrength;
 
 const JOBS: usize = 16;
 const WORKERS: usize = 4;
@@ -182,27 +183,13 @@ fn check_cut(seed: u64, workers: usize, cut: u64, reference: &[SessionResult]) -
             .any(|(_, e)| matches!(e, TraceEvent::PlatformReset)));
     }
 
-    // The final sealed checkpoint is intact: it unseals, parses, has no
-    // torn entry, and replays every terminal session.
-    let blob = sea
-        .platform()
-        .tpm()
-        .expect("tpm")
-        .nvram()
-        .read_blob(JOURNAL_NV_INDEX)
+    // The final checkpoint is intact: its head unseals, its log matches
+    // the head and parses, it has no torn entry, and it replays every
+    // terminal session.
+    let journal = SessionJournal::recover(sea.platform_mut().tpm_mut().expect("tpm"))
+        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: checkpoint corrupt: {e}"))
         .unwrap_or_else(|| panic!("seed {seed} cut {cut}: checkpoint missing"))
-        .to_vec();
-    let blob = SealedBlob::from_bytes(&blob)
-        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: checkpoint corrupt: {e}"));
-    let bytes = sea
-        .platform_mut()
-        .tpm_mut()
-        .expect("tpm")
-        .unseal(&blob)
-        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: checkpoint sealed shut: {e}"))
         .value;
-    let journal = SessionJournal::from_bytes(&bytes)
-        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: journal corrupt: {e}"));
     assert!(journal.torn().is_empty(), "seed {seed} cut {cut}");
     assert_eq!(
         journal.restore().expect("journal restores").len(),
@@ -316,25 +303,11 @@ fn check_group_cut(
     );
 
     // Whatever checkpoint the batch last sealed must still be intact:
-    // unsealable, parseable, and torn-free.
-    if let Some(bytes) = sea
-        .platform()
-        .tpm()
-        .expect("tpm")
-        .nvram()
-        .read_blob(JOURNAL_NV_INDEX)
-        .map(<[u8]>::to_vec)
+    // its head unseals, its log matches the head and parses.
+    if let Some(opened) = SessionJournal::recover(sea.platform_mut().tpm_mut().expect("tpm"))
+        .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: corrupt: {e}"))
     {
-        let blob = SealedBlob::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: corrupt: {e}"));
-        let opened = sea
-            .platform_mut()
-            .tpm_mut()
-            .expect("tpm")
-            .unseal(&blob)
-            .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: sealed shut: {e}"));
-        let journal = SessionJournal::from_bytes(&opened.value)
-            .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: corrupt: {e}"));
+        let journal = opened.value;
         // Unlike seal-every-commit, the final checkpoint may carry torn
         // intents — sessions whose commits were still buffered past the
         // last seal — but the terminals it does hold must replay, and

@@ -11,12 +11,12 @@ use sea_core::engine::{rate_per_sec, speedup};
 use sea_core::{
     BatchPolicy, ConcurrentJob, Executor, FnPal, JobResult, LegacySea, PalOutcome, RetryPolicy,
     SeaError, SecurePlatform, SessionEngine, SessionJournal, SessionReport, SessionResult,
-    SessionTally, Slaunch, Stepped, JOURNAL_NV_INDEX,
+    SessionTally, Slaunch, Stepped,
 };
 use sea_hw::{
     CpuId, FaultPlan, Platform, ResetPlan, SimDuration, TraceEvent, RATE_DENOM, RESET_REBOOT_COST,
 };
-use sea_tpm::{KeyStrength, SealedBlob, TpmError};
+use sea_tpm::{KeyStrength, TpmError};
 
 fn platform(n_cpus: u16) -> SecurePlatform {
     SecurePlatform::new(
@@ -321,19 +321,12 @@ fn durable_batch_without_resets_matches_recovered_and_checkpoints() {
     assert_eq!(d.wall, r.wall + d.journal_overhead);
 
     // The final checkpoint sits in NVRAM and replays every session.
-    let sea = pool.into_inner();
-    let tpm = sea.platform().tpm().expect("tpm");
-    let blob = tpm.nvram().read_blob(JOURNAL_NV_INDEX).expect("checkpoint");
-    let blob = SealedBlob::from_bytes(blob).unwrap();
-    let mut sea = sea;
-    let bytes = sea
-        .platform_mut()
-        .tpm_mut()
+    let mut sea = pool.into_inner();
+    let tpm = sea.platform_mut().tpm_mut().unwrap();
+    let journal = SessionJournal::recover(tpm)
         .unwrap()
-        .unseal(&blob)
-        .unwrap()
+        .expect("checkpoint")
         .value;
-    let journal = SessionJournal::from_bytes(&bytes).unwrap();
     assert_eq!(journal.restore().unwrap().len(), 8);
     assert!(journal.torn().is_empty());
 }
@@ -467,6 +460,46 @@ fn durable_batch_never_restores_an_earlier_batchs_checkpoint() {
         assert_eq!(second.resets, 1, "{executor:?}");
         assert!(second.committed.is_empty(), "{executor:?}");
         assert_eq!(second.relaunched, [0, 1, 2, 3], "{executor:?}");
+        let outputs: Vec<&[u8]> = second
+            .sessions
+            .iter()
+            .map(|s| quoted(s).output.as_slice())
+            .collect();
+        assert_eq!(outputs, [[10], [11], [12], [13]], "{executor:?}");
+    }
+
+    // Now the power fails after the second batch's first checkpoint:
+    // recovery must find that head over a log of this batch's frame
+    // alone, where a first-batch log left in NVRAM would make it refuse
+    // the log as corrupt. One worker commits in job order, and the plan
+    // cuts power at session 1's commit gate and nowhere else.
+    let plan = (0..)
+        .map(|seed| {
+            ResetPlan::new(seed)
+                .with_reset_rate(RATE_DENOM / 2)
+                .with_max_resets(1)
+        })
+        .find(|plan| !plan.roll_power_loss(0, 0) && plan.roll_power_loss(0, 1))
+        .expect("some seed fails at session 1's gate only");
+    for executor in [Executor::ThreadPool, Executor::DiscreteEvent] {
+        let mut pool = engine(4, 1).with_executor(executor);
+        pool.set_fault_plan(Some(FaultPlan::fault_free()));
+        let first = pool
+            .run(
+                batch(0),
+                &BatchPolicy::plain().with_durability(ResetPlan::reset_free()),
+            )
+            .unwrap();
+        assert_eq!(first.quoted(), 4, "{executor:?}");
+        let second = pool
+            .run(
+                batch(10),
+                &BatchPolicy::plain().with_durability(plan.clone()),
+            )
+            .unwrap();
+        assert_eq!(second.resets, 1, "{executor:?}");
+        assert_eq!(second.committed, [0], "{executor:?}");
+        assert_eq!(second.relaunched, [1, 2, 3], "{executor:?}");
         let outputs: Vec<&[u8]> = second
             .sessions
             .iter()
