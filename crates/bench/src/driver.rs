@@ -644,7 +644,7 @@ pub fn render_table1() -> String {
 }
 
 /// Renders already-measured Table 1 rows.
-pub fn render_table1_rows(data: &[Table1Row]) -> String {
+fn render_table1_rows(data: &[Table1Row]) -> String {
     let mut out = String::from(
         "Table 1: SKINIT and SENTER benchmarks (ms)\n(paper values in parentheses)\n\n",
     );
@@ -702,7 +702,7 @@ pub fn render_figure2(runs: usize) -> String {
 }
 
 /// Renders already-measured Figure 2 bars.
-pub fn render_figure2_bars(bars: &[Figure2Bar], runs: usize) -> String {
+fn render_figure2_bars(bars: &[Figure2Bar], runs: usize) -> String {
     let mut out =
         format!("Figure 2: SEA session overheads on HP dc5750 (avg of {runs} runs, ms)\n\n");
     let rows: Vec<Vec<String>> = bars
@@ -752,7 +752,7 @@ pub fn render_figure3(trials: usize) -> String {
 }
 
 /// Renders already-measured Figure 3 cells.
-pub fn render_figure3_cells(cells: &[Figure3Cell], trials: usize) -> String {
+fn render_figure3_cells(cells: &[Figure3Cell], trials: usize) -> String {
     let mut out = format!("Figure 3: TPM benchmarks, mean ± stddev over {trials} trials (ms)\n\n");
     let tpms: Vec<&str> = figure3_tpms().iter().map(|(_, l)| *l).collect();
 
@@ -793,11 +793,7 @@ pub fn render_throughput(worker_counts: &[usize], jobs: usize, work: SimDuration
 }
 
 /// Renders already-measured throughput points.
-pub fn render_throughput_points(
-    points: &[ThroughputPoint],
-    jobs: usize,
-    work: SimDuration,
-) -> String {
+fn render_throughput_points(points: &[ThroughputPoint], jobs: usize, work: SimDuration) -> String {
     let mut out = format!(
         "Throughput: {jobs} PAL sessions ({work} of work each) on the proposed\n\
          hardware's concurrent engine, virtual time, by core count\n\n"
@@ -844,7 +840,7 @@ pub fn render_fault_sweep(rates: &[u32], jobs: usize, work: SimDuration, workers
 }
 
 /// Renders already-measured fault-sweep points.
-pub fn render_fault_sweep_points(
+fn render_fault_sweep_points(
     points: &[FaultSweepPoint],
     jobs: usize,
     work: SimDuration,
@@ -899,7 +895,7 @@ pub fn render_crash_sweep(rates: &[u32], jobs: usize, work: SimDuration, workers
 }
 
 /// Renders already-measured crash-sweep points.
-pub fn render_crash_sweep_points(
+fn render_crash_sweep_points(
     points: &[CrashSweepPoint],
     jobs: usize,
     work: SimDuration,
@@ -956,7 +952,7 @@ pub fn render_scale(cpu_counts: &[usize], jobs: usize, work: SimDuration) -> Str
 }
 
 /// Renders already-measured scale points.
-pub fn render_scale_points(points: &[ScalePoint], jobs: usize, work: SimDuration) -> String {
+fn render_scale_points(points: &[ScalePoint], jobs: usize, work: SimDuration) -> String {
     let mut out = format!(
         "Scale: {jobs} durable attested sessions ({work} of work each) on the\n\
          discrete-event executor, virtual time, by virtual-CPU count\n\n"
@@ -1011,7 +1007,7 @@ pub fn render_fleet(platform_counts: &[usize], requests: usize) -> String {
 }
 
 /// Renders already-measured fleet points.
-pub fn render_fleet_points(points: &[FleetPoint], requests: usize) -> String {
+fn render_fleet_points(points: &[FleetPoint], requests: usize) -> String {
     let mut out = format!(
         "Fleet: {requests} attestation requests hash-dispatched across a\n\
          sharded platform fleet, quoted on-platform, and decided by the\n\
@@ -1074,7 +1070,7 @@ pub fn render_vm(executors_identical: bool) -> String {
 }
 
 /// Renders already-measured VM dispatch points.
-pub fn render_vm_points(points: &[VmPoint], executors_identical: bool) -> String {
+fn render_vm_points(points: &[VmPoint], executors_identical: bool) -> String {
     let mut out = String::from(
         "VM: the paper's PALs as measured bytecode on the proposed hardware,\n\
          direct block chaining vs block-cache lookup on every dispatch,\n\
@@ -1135,7 +1131,7 @@ pub fn render_vm_points(points: &[VmPoint], executors_identical: bool) -> String
 }
 
 /// Renders already-measured churn points.
-pub fn render_churn_points(points: &[ChurnPoint], requests: usize) -> String {
+fn render_churn_points(points: &[ChurnPoint], requests: usize) -> String {
     let mut out = format!(
         "Churn: {requests} attestation requests across a fleet of {CHURN_PLATFORMS}\n\
          platforms under seeded churn — dropped/delayed/duplicated/reordered\n\

@@ -272,7 +272,7 @@ pub struct Figure3Cell {
 }
 
 /// The four TPMs of Figure 3, with their legend labels.
-pub fn figure3_tpms() -> Vec<(TpmKind, &'static str)> {
+pub(crate) fn figure3_tpms() -> Vec<(TpmKind, &'static str)> {
     vec![
         (TpmKind::AtmelT60, "T60 Atmel"),
         (TpmKind::Broadcom, "Broadcom"),
@@ -813,7 +813,7 @@ pub struct FaultSweepPoint {
 /// keyed (batch index = track), so retries surface as
 /// `recovery.backoff` leaves and `core.retries` counts on the faulted
 /// session's own track.
-pub fn fault_sweep(
+pub(crate) fn fault_sweep(
     rates: &[u32],
     jobs: usize,
     work: SimDuration,
@@ -1132,7 +1132,7 @@ pub struct FleetPoint {
 ///
 /// `obs` is installed into every platform in every fleet: session spans
 /// and layer charges from all shards land in one recording.
-pub fn fleet_sweep(platform_counts: &[usize], requests: usize, obs: Obs) -> Vec<FleetPoint> {
+pub(crate) fn fleet_sweep(platform_counts: &[usize], requests: usize, obs: Obs) -> Vec<FleetPoint> {
     platform_counts
         .iter()
         .map(|&platforms| {
@@ -1265,7 +1265,7 @@ pub fn churn_plan(intensity: u32) -> sea_fleet::ChurnPlan {
 /// every intensity, shard count, and executor.
 ///
 /// `obs` is installed into every platform in every fleet.
-pub fn churn_sweep(intensities: &[u32], requests: usize, obs: Obs) -> Vec<ChurnPoint> {
+pub(crate) fn churn_sweep(intensities: &[u32], requests: usize, obs: Obs) -> Vec<ChurnPoint> {
     intensities
         .iter()
         .map(|&intensity| {
@@ -1422,7 +1422,7 @@ fn vm_workloads() -> Vec<VmWorkload> {
 /// measures dispatch alone.
 ///
 /// `obs` is installed into every platform the runs use.
-pub fn vm_dispatch(obs: Obs) -> Vec<VmPoint> {
+pub(crate) fn vm_dispatch(obs: Obs) -> Vec<VmPoint> {
     vm_workloads()
         .into_iter()
         .map(|(name, make, inputs)| {

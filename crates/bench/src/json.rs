@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 /// A JSON value, sufficient for `BENCH_suite.json`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -33,7 +33,7 @@ pub enum Json {
 impl Json {
     /// Looks a field up in an object; `None` for missing fields and
     /// non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -41,7 +41,7 @@ impl Json {
     }
 
     /// The value as a `u64`, if it is an unsigned integer.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(n) => Some(*n),
             _ => None,
@@ -49,7 +49,7 @@ impl Json {
     }
 
     /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -57,7 +57,7 @@ impl Json {
     }
 
     /// The value as an array slice, if it is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
+    pub(crate) fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -66,7 +66,7 @@ impl Json {
 
     /// The value as an object's fields (in document order), if it is
     /// an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(fields) => Some(fields),
             _ => None,
@@ -74,7 +74,7 @@ impl Json {
     }
 
     /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -83,7 +83,7 @@ impl Json {
 
     /// Renders the value as pretty-printed JSON (two-space indent,
     /// trailing newline). Deterministic: field order is the build order.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);
         out.push('\n');
@@ -132,7 +132,7 @@ impl Json {
 }
 
 /// Quotes and escapes a string for JSON output.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -155,7 +155,7 @@ pub fn escape(s: &str) -> String {
 /// How deep arrays and objects may nest. The parser recurses once per
 /// level, so the bound keeps a hostile document from overflowing the
 /// stack; `BENCH_suite.json` nests about 5 deep.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document, rejecting trailing garbage.
 ///
@@ -163,7 +163,7 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// Returns a message naming the byte offset of the first syntax error,
 /// or of the first array or object nested deeper than [`MAX_DEPTH`].
-pub fn parse(text: &str) -> Result<Json, String> {
+pub(crate) fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
     let value = parse_value(bytes, &mut pos, 0)?;
@@ -216,23 +216,53 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
     }
 }
 
+/// Parses a number by RFC 8259's grammar: an optional minus, an
+/// integer part without leading zeros, an optional fraction and an
+/// optional exponent, each with at least one digit. A value that
+/// overflows to infinity is refused.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let invalid = || format!("invalid number at byte {start}");
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(invalid()),
+    }
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII slice");
     if let Ok(n) = text.parse::<u64>() {
         return Ok(Json::UInt(n));
     }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+        _ => Err(invalid()),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -279,12 +309,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(0x00..=0x1F) => return Err(format!("raw control character at byte {pos}")),
             Some(_) => {
-                // Copy the whole run up to the next quote or backslash at
-                // once. Both are ASCII, so the run of the (UTF-8) input
-                // ends on a char boundary, and each byte is scanned once.
+                // Copy the whole run up to the next quote, backslash or
+                // control character at once. All are ASCII, so the run
+                // of the (UTF-8) input ends on a char boundary, and each
+                // byte is scanned once.
                 let start = *pos;
-                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\' | 0x00..=0x1F)) {
                     *pos += 1;
                 }
                 let run = std::str::from_utf8(&bytes[start..*pos])
@@ -403,6 +435,13 @@ mod tests {
             "{\"a\": 00x}",
             &deep,
             "\"\\u+041\"",
+            "+1",
+            "01",
+            "00",
+            ".5",
+            "1.",
+            "\"\u{1}\"",
+            "1e999",
         ] {
             let head: String = bad.chars().take(16).collect();
             assert!(parse(bad).is_err(), "accepted {head:?}");

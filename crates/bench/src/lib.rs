@@ -23,14 +23,15 @@
 //! | `fleet` | fleet-scale attestation — goodput and latency percentiles vs fleet size |
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod driver;
 pub mod experiments;
 pub mod format;
-pub mod json;
-pub mod metrics;
-pub mod stats;
+mod json;
+mod metrics;
+mod stats;
 pub mod timing;
 
 pub use experiments::*;

@@ -1,5 +1,5 @@
 //! Integer-only structured metrics distilled from the observability
-//! span stream ([`sea_hw::obs`]), one value per suite experiment.
+//! span stream ([`sea_hw::Obs`]), one value per suite experiment.
 //!
 //! Everything here is a `u64` of virtual nanoseconds or a plain count —
 //! never a float — so [`ExperimentMetrics`] derives `Eq` and the suite's
@@ -62,7 +62,7 @@ pub struct ExperimentMetrics {
 impl ExperimentMetrics {
     /// Aggregates a snapshot into metrics: per-layer histogram totals,
     /// span counts, and counters (already name-sorted by the sink).
-    pub fn from_snapshot(snap: &ObsSnapshot) -> Self {
+    pub(crate) fn from_snapshot(snap: &ObsSnapshot) -> Self {
         let mut layer_ns = [0u64; 4];
         for (slot, layer) in layer_ns.iter_mut().zip(Layer::ALL) {
             *slot = snap.layer_total(layer).as_ns();
@@ -79,14 +79,14 @@ impl ExperimentMetrics {
     }
 
     /// Appends a named integer input (builder-style).
-    pub fn with_scalar(mut self, name: &'static str, value: u64) -> Self {
+    pub(crate) fn with_scalar(mut self, name: &'static str, value: u64) -> Self {
         self.scalars.push((name, value));
         self
     }
 
     /// Attaches per-lock-class contention rows (builder-style), as
     /// returned by [`sea_hw::RecordingSink::lock_stats`].
-    pub fn with_locks(mut self, stats: &[(String, LockStats)]) -> Self {
+    pub(crate) fn with_locks(mut self, stats: &[(String, LockStats)]) -> Self {
         self.locks = stats
             .iter()
             .map(|(class, s)| LockRow {
@@ -102,12 +102,12 @@ impl ExperimentMetrics {
     }
 
     /// Total virtual lock-wait across all classes, in ns.
-    pub fn lock_wait_ns(&self) -> u64 {
+    pub(crate) fn lock_wait_ns(&self) -> u64 {
         self.locks.iter().map(|l| l.wait_ns).sum()
     }
 
     /// Total virtual lock-hold across all classes, in ns.
-    pub fn lock_hold_ns(&self) -> u64 {
+    pub(crate) fn lock_hold_ns(&self) -> u64 {
         self.locks.iter().map(|l| l.hold_ns).sum()
     }
 

@@ -1,15 +1,13 @@
 //! Small summary-statistics helpers for the experiment harness.
 //!
-//! Derived *rates* are not computed here: [`rate_per_sec`] and
-//! [`speedup`] are re-exports of the engine's own canonical math, so a
-//! number in bench JSON and the same number on a [`sea_core::BatchOutcome`]
-//! come from one implementation and can never disagree.
-
-pub use sea_core::engine::{rate_per_sec, speedup};
+//! Derived *rates* are not computed here: the harness reads them off
+//! [`sea_core::BatchOutcome`], whose methods call the engine's one
+//! implementation, so a number in bench JSON and the same number on the
+//! outcome can never disagree.
 
 /// Summary statistics of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
+pub(crate) struct Summary {
     /// Arithmetic mean.
     pub mean: f64,
     /// Population standard deviation (the paper reports stddev over its
@@ -29,7 +27,7 @@ impl Summary {
     /// # Panics
     ///
     /// Panics on an empty sample.
-    pub fn of(samples: &[f64]) -> Summary {
+    pub(crate) fn of(samples: &[f64]) -> Summary {
         assert!(!samples.is_empty(), "summary of an empty sample");
         let n = samples.len();
         let mean = samples.iter().sum::<f64>() / n as f64;
@@ -47,15 +45,6 @@ impl Summary {
             n,
         }
     }
-
-    /// Relative standard deviation (stddev / mean), `0` for a zero mean.
-    pub fn rel_stddev(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
 }
 
 /// Nearest-rank percentile over an **already sorted** sample: `p` in
@@ -67,7 +56,7 @@ impl Summary {
 /// # Panics
 ///
 /// Panics on an empty sample.
-pub fn percentile_sorted<T: Copy>(sorted: &[T], p: f64) -> T {
+pub(crate) fn percentile_sorted<T: Copy>(sorted: &[T], p: f64) -> T {
     assert!(!sorted.is_empty(), "percentile of an empty sample");
     let n = sorted.len();
     let idx = ((n - 1) as f64 * p).round() as usize;
@@ -86,7 +75,6 @@ mod tests {
         assert_eq!(s.min, 5.0);
         assert_eq!(s.max, 5.0);
         assert_eq!(s.n, 3);
-        assert_eq!(s.rel_stddev(), 0.0);
     }
 
     #[test]
@@ -97,13 +85,6 @@ mod tests {
         assert!((s.stddev - 2.0).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
-        assert!((s.rel_stddev() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_mean_rel_stddev() {
-        let s = Summary::of(&[0.0, 0.0]);
-        assert_eq!(s.rel_stddev(), 0.0);
     }
 
     #[test]

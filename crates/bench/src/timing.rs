@@ -40,7 +40,7 @@ pub struct Timing {
 
 impl Timing {
     /// The p-th percentile (0.0..=1.0) by nearest-rank on the sorted
-    /// sample vector (delegates to [`crate::stats::percentile_sorted`]).
+    /// sample vector (the harness's one percentile definition).
     pub fn percentile(&self, p: f64) -> Duration {
         crate::stats::percentile_sorted(&self.samples, p)
     }
@@ -63,7 +63,7 @@ impl Timing {
 
 /// Renders a duration with a unit chosen for a 3-significant-digit-ish
 /// reading (ns / µs / ms / s).
-pub fn fmt_duration(d: Duration) -> String {
+fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns} ns")

@@ -191,8 +191,7 @@ impl Verifier {
 }
 
 /// A verifier-side trust policy over *many* PAL images: the whitelist a
-/// relying party actually operates (per-service trusted builds, plus
-/// revocation when a build turns out to be vulnerable).
+/// relying party actually operates (per-service trusted builds).
 ///
 /// # Example
 ///
@@ -204,9 +203,8 @@ impl Verifier {
 /// let aik = RsaPrivateKey::generate(512, &mut Drbg::new(b"aik"))?;
 /// let mut policy = TrustPolicy::new(Verifier::new(aik.public_key().clone()));
 /// policy.trust("payroll", b"payroll PAL v3");
-/// assert!(policy.is_trusted(b"payroll PAL v3"));
-/// policy.revoke(b"payroll PAL v3");
-/// assert!(!policy.is_trusted(b"payroll PAL v3"));
+/// policy.trust("payroll", b"payroll PAL v3"); // idempotent
+/// assert_eq!(policy.len(), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -233,18 +231,6 @@ impl TrustPolicy {
             self.trusted
                 .push((service.to_owned(), digest, image.to_vec()));
         }
-    }
-
-    /// Revokes a previously trusted image (e.g. a vulnerable build).
-    pub fn revoke(&mut self, image: &[u8]) {
-        let digest = Sha1::digest(image);
-        self.trusted.retain(|(_, d, _)| *d != digest);
-    }
-
-    /// Whether `image` is currently trusted for any service.
-    pub fn is_trusted(&self, image: &[u8]) -> bool {
-        let digest = Sha1::digest(image);
-        self.trusted.iter().any(|(_, d, _)| *d == digest)
     }
 
     /// Number of trusted builds.
@@ -455,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn trust_policy_identifies_and_revokes() {
+    fn trust_policy_identifies_the_service() {
         let platform =
             SecurePlatform::new(Platform::recommended(2), KeyStrength::Demo512, b"policy");
         let mut sea = EnhancedSea::new(platform).unwrap();
@@ -482,13 +468,6 @@ mod tests {
             Err(VerifyError::NonceMismatch)
         );
 
-        // Revoke payroll: the same quote no longer identifies.
-        policy.revoke(&payroll.image());
-        assert_eq!(
-            policy.identify_sepcr_quote(&q, b"n", &[]),
-            Err(VerifyError::MeasurementMismatch)
-        );
-        // Backups still trusted.
         let id = sea.slaunch(&mut backups, b"", CpuId(1), None).unwrap();
         sea.run_to_exit(&mut backups, id, CpuId(1)).unwrap();
         let q = sea.quote_and_free(id, b"m").unwrap().value;

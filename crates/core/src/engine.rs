@@ -115,7 +115,7 @@ impl Executor {
     /// [`Executor::DiscreteEvent`], `threads` / `thread-pool` /
     /// `threadpool` select [`Executor::ThreadPool`], anything else
     /// (including unset) falls back to the default thread pool.
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         match std::env::var("SEA_EXECUTOR").as_deref() {
             Ok("des") | Ok("discrete-event") | Ok("event") => Executor::DiscreteEvent,
             _ => Executor::ThreadPool,
@@ -124,8 +124,8 @@ impl Executor {
 }
 
 /// Completions per virtual second of wall time — the one rate formula
-/// [`BatchOutcome`] and every bench table share (`sea_bench::stats`
-/// re-exports it), so engine outcomes and bench JSON cannot disagree.
+/// [`BatchOutcome`] and every bench table share, so engine outcomes and
+/// bench JSON cannot disagree.
 pub fn rate_per_sec(completed: usize, wall: SimDuration) -> f64 {
     let secs = wall.as_secs_f64();
     if secs == 0.0 {
@@ -136,8 +136,8 @@ pub fn rate_per_sec(completed: usize, wall: SimDuration) -> f64 {
 }
 
 /// Parallel speedup: aggregate (serial) virtual cost over batch wall
-/// time. `1.0` for an empty batch. Shared with `sea_bench::stats` for
-/// the same reason as [`rate_per_sec`].
+/// time. `1.0` for an empty batch. Shared with the bench tables for the
+/// same reason as [`rate_per_sec`].
 pub fn speedup(aggregate: SimDuration, wall: SimDuration) -> f64 {
     let wall = wall.as_secs_f64();
     if wall == 0.0 {
@@ -517,12 +517,12 @@ impl BatchPolicy {
     }
 
     /// Commits batched per NVRAM seal (at least 1).
-    pub fn group_commit(&self) -> usize {
+    fn group_commit(&self) -> usize {
         self.group_commit.max(1)
     }
 
     /// The reset plan, if durability was requested.
-    pub fn durability(&self) -> Option<&ResetPlan> {
+    fn durability(&self) -> Option<&ResetPlan> {
         self.durability.as_ref()
     }
 
@@ -923,8 +923,10 @@ impl SessionEngine<Slaunch> {
     /// [`SeaError::NotEnoughCpus`] when `workers` is zero or exceeds
     /// the platform's CPU count.
     ///
-    /// The executor backend defaults to [`Executor::from_env`]
-    /// (`SEA_EXECUTOR`); override with [`SessionEngine::with_executor`].
+    /// The executor backend comes from `SEA_EXECUTOR` (`des`,
+    /// `discrete-event` or `event` select [`Executor::DiscreteEvent`];
+    /// anything else, unset included, the thread pool); override with
+    /// [`SessionEngine::with_executor`].
     /// On the discrete-event backend "worker threads" are virtual CPUs
     /// on one OS thread, so `workers` may far exceed the host's cores —
     /// the cap is still the *platform's* CPU count.

@@ -32,12 +32,7 @@ use crate::error::SeaError;
 use crate::pal::{PalCtx, PalLogic, PalOutcome, SealBinding};
 use crate::platform::SecurePlatform;
 use crate::report::SessionReport;
-use crate::secb::{InterruptPolicy, PalLifecycle, Secb};
-
-/// Cost of reprogramming the interrupt routing logic when scheduling a
-/// PAL with [`InterruptPolicy::Forward`] (§6: doing this "every time a
-/// PAL is scheduled ... may create undesirable overhead").
-const INTERRUPT_ROUTING_COST: SimDuration = SimDuration::from_us(2);
+use crate::secb::{PalLifecycle, Secb};
 
 /// Identifier of a launched PAL within an [`EnhancedSea`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -217,7 +212,7 @@ impl EnhancedSea {
     /// session journal) survives. Returns the reboot's virtual cost,
     /// already charged to the machine clock; the machine records
     /// [`TraceEvent::PlatformReset`].
-    pub fn power_cycle(&mut self) -> SimDuration {
+    pub(crate) fn power_cycle(&mut self) -> SimDuration {
         self.pals.clear();
         self.regions = PalRegions::new();
         self.fault_cursors.clear();
@@ -315,24 +310,6 @@ impl EnhancedSea {
         cpu: CpuId,
         preemption_timer: Option<SimDuration>,
     ) -> Result<PalId, SeaError> {
-        self.slaunch_with_interrupts(pal, input, cpu, preemption_timer, InterruptPolicy::Disabled)
-    }
-
-    /// [`EnhancedSea::slaunch`] with an explicit interrupt policy (§6).
-    /// A `Forward` policy charges the interrupt-routing cost (2 µs) at launch
-    /// and again on every resume.
-    ///
-    /// # Errors
-    ///
-    /// As for [`EnhancedSea::slaunch`].
-    pub fn slaunch_with_interrupts(
-        &mut self,
-        pal: &mut dyn PalLogic,
-        input: &[u8],
-        cpu: CpuId,
-        preemption_timer: Option<SimDuration>,
-        interrupts: InterruptPolicy,
-    ) -> Result<PalId, SeaError> {
         let image = pal.image();
         let region_bytes = image.len() + input.len() + STATE_HEADROOM;
         let pages = (region_bytes as u32).div_ceil(PAGE_SIZE as u32);
@@ -345,8 +322,7 @@ impl EnhancedSea {
             .memory_mut()
             .write_raw(range.base_addr().offset(image.len() as u64), input)?;
 
-        let mut secb = Secb::new(pal.name(), range, image.len(), preemption_timer)
-            .with_interrupt_policy(interrupts);
+        let mut secb = Secb::new(pal.name(), range, image.len(), preemption_timer);
         assert!(secb.transition(PalLifecycle::Protect));
 
         // Memory controller: ALL → CPUᵢ (atomic; fails on conflict).
@@ -365,12 +341,6 @@ impl EnhancedSea {
             }
         };
         machine.charge(Layer::Tpm, "tpm.slaunch_measure", timed.elapsed);
-        let routing_cost = if matches!(secb.interrupt_policy(), InterruptPolicy::Forward(_)) {
-            machine.charge(Layer::Hw, "hw.interrupt_routing", INTERRUPT_ROUTING_COST);
-            INTERRUPT_ROUTING_COST
-        } else {
-            SimDuration::ZERO
-        };
         secb.bind_sepcr(timed.value);
         secb.set_measured();
         machine.cpu_mut(cpu)?.enter_secure(range.base_addr());
@@ -390,7 +360,6 @@ impl EnhancedSea {
                 helper_cpus: Vec::new(),
                 report: SessionReport {
                     late_launch: timed.elapsed,
-                    context_switch: routing_cost,
                     ..SessionReport::default()
                 },
                 output: None,
@@ -546,7 +515,6 @@ impl EnhancedSea {
             .secb
             .sepcr()
             .ok_or(SeaError::EngineFault("Suspend state without a sePCR"))?;
-        let routing = matches!(run.secb.interrupt_policy(), InterruptPolicy::Forward(_));
 
         // Hardware first, SECB transitions last: a transient hardware
         // failure must leave the PAL in `Suspend` so the caller can
@@ -561,18 +529,13 @@ impl EnhancedSea {
         }
         machine.cpu_mut(cpu)?.enter_secure(range.base_addr());
         let vm_enter = machine.platform().virt.vm_enter;
-        let mut resume_cost = vm_enter;
         machine.charge(Layer::Hw, "hw.vm_enter", vm_enter);
-        if routing {
-            resume_cost += INTERRUPT_ROUTING_COST;
-            machine.charge(Layer::Hw, "hw.interrupt_routing", INTERRUPT_ROUTING_COST);
-        }
 
         let run = self.pals.get_mut(&id.0).ok_or(SeaError::NoSuchPal(id.0))?;
         assert!(run.secb.transition(PalLifecycle::Protect));
         assert!(run.secb.transition(PalLifecycle::Execute));
         run.current_cpu = Some(cpu);
-        run.report.context_switch += resume_cost;
+        run.report.context_switch += vm_enter;
         Ok(())
     }
 
@@ -1620,32 +1583,6 @@ mod tests {
             Err(SeaError::WrongLifecycle { .. })
         ));
         assert!(sea.join(PalId(99), CpuId(1)).is_err());
-    }
-
-    #[test]
-    fn interrupt_forwarding_costs_per_schedule() {
-        use crate::secb::InterruptPolicy;
-        let run_with = |policy: InterruptPolicy| {
-            let mut sea = sea(2);
-            let mut yields = 2u8;
-            let mut pal = FnPal::new("idt", move |_| {
-                if yields == 0 {
-                    Ok(PalOutcome::Exit(vec![]))
-                } else {
-                    yields -= 1;
-                    Ok(PalOutcome::Yield)
-                }
-            });
-            let id = sea
-                .slaunch_with_interrupts(&mut pal, b"", CpuId(0), None, policy)
-                .unwrap();
-            sea.run_to_exit(&mut pal, id, CpuId(0)).unwrap().report
-        };
-        let off = run_with(InterruptPolicy::Disabled);
-        let on = run_with(InterruptPolicy::Forward(vec![0x21, 0x2E]));
-        // Launch + 2 resumes → 3 reprogrammings of 2 µs each.
-        let delta = on.context_switch - off.context_switch;
-        assert_eq!(delta, INTERRUPT_ROUTING_COST * 3);
     }
 
     #[test]

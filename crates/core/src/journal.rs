@@ -97,7 +97,7 @@ pub enum JournalEntry {
 
 impl JournalEntry {
     /// Whether this record is terminal (the session need not re-run).
-    pub fn is_terminal(&self) -> bool {
+    fn is_terminal(&self) -> bool {
         matches!(
             self,
             JournalEntry::Quoted { .. } | JournalEntry::Degraded { .. }

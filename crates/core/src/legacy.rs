@@ -112,7 +112,7 @@ impl LegacySea {
     }
 
     /// The PCRs that identify a launched PAL on this platform's vendor.
-    pub fn measurement_pcrs(&self) -> Vec<PcrIndex> {
+    fn measurement_pcrs(&self) -> Vec<PcrIndex> {
         match self.platform.machine().platform().vendor {
             sea_hw::CpuVendor::Amd => vec![PcrIndex(17)],
             sea_hw::CpuVendor::Intel => vec![PcrIndex(17), PcrIndex(18)],

@@ -62,6 +62,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(missing_docs)]
 
 mod attest;
@@ -94,11 +95,11 @@ pub use legacy::{LegacySea, LegacySessionResult};
 pub use pal::{FnPal, PalCtx, PalLogic, PalOutcome};
 pub use pioneer::{
     checksum as pioneer_checksum, forged_duration, honest_duration, PioneerChallenge,
-    PioneerResponse, PioneerVerdict, PioneerVerifier, ATTACKER_SLOWDOWN,
+    PioneerResponse, PioneerVerdict, PioneerVerifier,
 };
 pub use platform::{LateLaunch, SecurePlatform};
 pub use protocol::{AttestationService, Challenge, ProtocolError};
 pub use recovery::RetryPolicy;
 pub use report::SessionReport;
-pub use secb::{InterruptPolicy, PalLifecycle, Secb};
+pub use secb::{PalLifecycle, Secb};
 pub use vm::{Insn, Program, VmPal, VmStats};

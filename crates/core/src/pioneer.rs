@@ -22,7 +22,7 @@ use sea_hw::SimDuration;
 
 /// The canonical attacker slowdown for Pioneer-class checksum functions:
 /// the best known emulation attack costs ~33% extra time.
-pub const ATTACKER_SLOWDOWN: f64 = 1.33;
+const ATTACKER_SLOWDOWN: f64 = 1.33;
 
 /// A verifier challenge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,8 +90,8 @@ pub fn honest_duration(challenge: &PioneerChallenge) -> SimDuration {
     SimDuration::from_ns(challenge.iterations as u64 * NS_PER_ITERATION)
 }
 
-/// Attacker computation time: correct result, [`ATTACKER_SLOWDOWN`]×
-/// slower (the emulation overhead).
+/// Attacker computation time: correct result, 1.33× slower (the
+/// emulation overhead of the best known attack).
 pub fn forged_duration(challenge: &PioneerChallenge) -> SimDuration {
     SimDuration::from_ns_f64(honest_duration(challenge).as_ns() as f64 * ATTACKER_SLOWDOWN)
 }
@@ -148,7 +148,8 @@ impl PioneerVerifier {
     /// Grows linearly with tolerated latency, which is the paper's
     /// point: at internet latencies the challenge must run so long that
     /// the protocol stops being practical.
-    pub fn min_secure_iterations(&self) -> u32 {
+    #[cfg(test)]
+    fn min_secure_iterations(&self) -> u32 {
         let slack_ns = self.latency_allowance.as_ns() as f64;
         let per_iter_gap = NS_PER_ITERATION as f64 * (ATTACKER_SLOWDOWN - 1.0);
         (slack_ns / per_iter_gap).ceil() as u32 + 1

@@ -114,7 +114,7 @@ impl SecurePlatform {
     /// # Errors
     ///
     /// [`SeaError::NoTpm`] when the platform has no TPM.
-    pub fn require_tpm(&mut self) -> Result<&mut Tpm, SeaError> {
+    pub(crate) fn require_tpm(&mut self) -> Result<&mut Tpm, SeaError> {
         self.tpm.as_mut().ok_or(SeaError::NoTpm)
     }
 
@@ -148,7 +148,7 @@ impl SecurePlatform {
     /// → 0, dynamic → −1, every sePCR freed, lock and transient session
     /// state cleared; NVRAM untouched). Returns the reboot's virtual
     /// cost, already added to the machine clock.
-    pub fn power_cycle(&mut self) -> SimDuration {
+    pub(crate) fn power_cycle(&mut self) -> SimDuration {
         let cost = self.machine.reset();
         if let Some(tpm) = &mut self.tpm {
             tpm.reboot();
@@ -279,7 +279,7 @@ impl SecurePlatform {
     /// # Errors
     ///
     /// [`SeaError::Hw`] for a bad CPU or region.
-    pub fn late_launch_exit(&mut self, cpu: CpuId, slb: PageRange) -> Result<(), SeaError> {
+    pub(crate) fn late_launch_exit(&mut self, cpu: CpuId, slb: PageRange) -> Result<(), SeaError> {
         self.machine.cpu_mut(cpu)?.leave_secure();
         self.machine.controller_mut().set_dev(slb, false)?;
         Ok(())
@@ -297,7 +297,7 @@ impl SecurePlatform {
     }
 
     /// Expected PCR-17 chain on Intel platforms (the ACMod measurement).
-    pub fn expected_acmod_chain() -> PcrValue {
+    pub(crate) fn expected_acmod_chain() -> PcrValue {
         PcrValue::ZERO.extended(&Sha1::digest(ACMOD_IMAGE))
     }
 

@@ -24,10 +24,9 @@ use crate::error::SeaError;
 /// use sea_core::RetryPolicy;
 /// use sea_hw::SimDuration;
 ///
+/// // Four retries, the n-th after n × 50 µs of backoff.
 /// let policy = RetryPolicy::default();
-/// assert_eq!(policy.max_retries(), 4);
-/// // Backoff grows linearly with the attempt number.
-/// assert_eq!(policy.backoff_for(2), policy.backoff_for(1) * 2);
+/// assert_eq!(policy, RetryPolicy::new(4, SimDuration::from_us(50)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -62,7 +61,7 @@ impl RetryPolicy {
     }
 
     /// Maximum number of retries after the initial attempt.
-    pub fn max_retries(&self) -> u32 {
+    pub(crate) fn max_retries(&self) -> u32 {
         self.max_retries
     }
 
@@ -72,7 +71,7 @@ impl RetryPolicy {
     }
 
     /// Virtual-time backoff before retry number `attempt` (1-based).
-    pub fn backoff_for(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> SimDuration {
         self.backoff * attempt as u64
     }
 
@@ -92,7 +91,7 @@ impl RetryPolicy {
 
     /// Whether the sePCR bank is saturated — the signal to degrade to
     /// the legacy slow path rather than retry or kill.
-    pub fn is_saturation(error: &SeaError) -> bool {
+    pub(crate) fn is_saturation(error: &SeaError) -> bool {
         matches!(error, SeaError::Tpm(TpmError::NoFreeSePcr))
     }
 }

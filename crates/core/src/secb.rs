@@ -4,27 +4,6 @@
 use sea_hw::{PageRange, SimDuration};
 use sea_tpm::SePcrHandle;
 
-/// How interrupts are delivered while a PAL executes (§6, *PAL Interrupt
-/// Handling*).
-///
-/// "We recommend that a PAL not accept interrupts. However, there may
-/// still be situations where it is necessary ... a PAL should be able to
-/// configure an Interrupt Descriptor Table to receive interrupts.
-/// Routing only the interrupts the PAL is interested in requires the CPU
-/// to reprogram the interrupt routing logic every time a PAL is
-/// scheduled, which may create undesirable overhead."
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum InterruptPolicy {
-    /// Interrupts disabled for the PAL's whole execution (the paper's
-    /// recommendation and the default).
-    #[default]
-    Disabled,
-    /// The PAL configures an IDT for the listed interrupt vectors; the
-    /// routing logic is reprogrammed at every schedule, costing
-    /// [`crate::EnhancedSea`] extra time per launch/resume.
-    Forward(Vec<u8>),
-}
-
 /// The Figure 6 life-cycle states of a PAL.
 ///
 /// ```text
@@ -74,8 +53,6 @@ pub struct Secb {
     preemption_timer: Option<SimDuration>,
     /// Handle of the sePCR bound at first launch (§5.4.1).
     sepcr: Option<SePcrHandle>,
-    /// Interrupt delivery configuration (§6).
-    interrupt_policy: InterruptPolicy,
     /// Current life-cycle state.
     lifecycle: PalLifecycle,
 }
@@ -95,20 +72,8 @@ impl Secb {
             measured: false,
             preemption_timer,
             sepcr: None,
-            interrupt_policy: InterruptPolicy::Disabled,
             lifecycle: PalLifecycle::Start,
         }
-    }
-
-    /// Configures interrupt delivery (builder-style; §6).
-    pub fn with_interrupt_policy(mut self, policy: InterruptPolicy) -> Self {
-        self.interrupt_policy = policy;
-        self
-    }
-
-    /// The configured interrupt policy.
-    pub fn interrupt_policy(&self) -> &InterruptPolicy {
-        &self.interrupt_policy
     }
 
     /// The PAL's name.
@@ -122,7 +87,7 @@ impl Secb {
     }
 
     /// Length of the measured image.
-    pub fn image_len(&self) -> usize {
+    pub(crate) fn image_len(&self) -> usize {
         self.image_len
     }
 
@@ -249,14 +214,6 @@ mod tests {
         ] {
             assert!(!s.transition(to), "{to:?} should be rejected from Done");
         }
-    }
-
-    #[test]
-    fn interrupt_policy_defaults_to_disabled() {
-        let s = secb();
-        assert_eq!(s.interrupt_policy(), &InterruptPolicy::Disabled);
-        let s = secb().with_interrupt_policy(InterruptPolicy::Forward(vec![0x21]));
-        assert_eq!(s.interrupt_policy(), &InterruptPolicy::Forward(vec![0x21]));
     }
 
     #[test]

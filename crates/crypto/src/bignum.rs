@@ -132,7 +132,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if the value does not fit in `len` bytes.
-    pub fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
+    pub(crate) fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
         let raw = self.to_bytes_be();
         assert!(
             raw.len() <= len,
@@ -185,7 +185,7 @@ impl BigUint {
 
     /// Addition.
     #[allow(clippy::needless_range_loop)] // indexed form mirrors the carry chain
-    pub fn add_ref(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn add_ref(&self, other: &BigUint) -> BigUint {
         let (long, short) = if self.limbs.len() >= other.limbs.len() {
             (&self.limbs, &other.limbs)
         } else {
@@ -280,7 +280,7 @@ impl BigUint {
     }
 
     /// Right shift by `bits`.
-    pub fn shr_bits(&self, bits: usize) -> BigUint {
+    pub(crate) fn shr_bits(&self, bits: usize) -> BigUint {
         let limb_shift = bits / 64;
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();

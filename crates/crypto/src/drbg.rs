@@ -37,11 +37,6 @@ impl Drbg {
         drbg
     }
 
-    /// Mixes additional entropy/material into the generator state.
-    pub fn reseed(&mut self, material: &[u8]) {
-        self.update(Some(material));
-    }
-
     fn update(&mut self, provided: Option<&[u8]>) {
         let mut h = Hmac::<Sha256>::new(&self.key);
         h.update(&self.value);
@@ -67,7 +62,7 @@ impl Drbg {
     /// The key is fixed for the whole call, so HMAC is keyed once and
     /// cloned per 32-byte block: a block costs two SHA-256
     /// compressions, one inner and one outer.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
+    fn fill_bytes(&mut self, out: &mut [u8]) {
         let keyed = Hmac::<Sha256>::new(&self.key);
         for block in out.chunks_mut(self.value.len()) {
             let mut h = keyed.clone();
@@ -91,23 +86,6 @@ impl Drbg {
         self.fill_bytes(&mut b);
         u64::from_be_bytes(b)
     }
-
-    /// Returns a pseudo-random value in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "next_below bound must be positive");
-        // Rejection sampling to avoid modulo bias.
-        let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % bound;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +97,7 @@ mod tests {
     fn output_stream_known_answer() {
         // Fill lengths on both sides of the 32-byte HMAC block, a
         // checkpoint-sized draw, and every other way the state advances
-        // (including a reseed with empty material), folded into one
+        // (including an update with empty material), folded into one
         // SHA-1 recorded from the SP 800-90A reference loop that re-keys
         // HMAC for every block.
         let mut rng = Drbg::new(b"known answer seed");
@@ -130,10 +108,10 @@ mod tests {
         {
             fold.update_bytes(&rng.fill(n));
             match i % 4 {
-                0 => rng.reseed(&[i as u8; 5]),
+                0 => rng.update(Some(&[i as u8; 5])),
                 1 => fold.update_bytes(&rng.next_u64().to_be_bytes()),
-                2 => fold.update_bytes(&rng.next_below(1000 + i as u64).to_be_bytes()),
-                _ => rng.reseed(b""),
+                2 => fold.update_bytes(&(rng.next_u64() % (1000 + i as u64)).to_be_bytes()),
+                _ => rng.update(Some(b"")),
             }
         }
         assert_eq!(
@@ -157,14 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn reseed_changes_stream() {
-        let mut a = Drbg::new(b"seed");
-        let mut b = Drbg::new(b"seed");
-        b.reseed(b"extra");
-        assert_ne!(a.fill(32), b.fill(32));
-    }
-
-    #[test]
     fn successive_outputs_differ() {
         let mut a = Drbg::new(b"seed");
         let x = a.fill(32);
@@ -179,21 +149,5 @@ mod tests {
         assert_eq!(long.len(), 100);
         // Not all identical bytes (sanity of generator output).
         assert!(long.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn next_below_is_in_range() {
-        let mut a = Drbg::new(b"seed");
-        for bound in [1u64, 2, 3, 10, 1000, u64::MAX] {
-            for _ in 0..20 {
-                assert!(a.next_below(bound) < bound);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bound must be positive")]
-    fn next_below_zero_panics() {
-        Drbg::new(b"s").next_below(0);
     }
 }

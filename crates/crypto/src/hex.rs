@@ -4,8 +4,6 @@
 //! logged as hex throughout the trusted-computing ecosystem; these
 //! helpers keep that dependency-free.
 
-use crate::error::CryptoError;
-
 /// Encodes bytes as lowercase hex.
 ///
 /// # Example
@@ -22,65 +20,14 @@ pub fn to_hex(bytes: &[u8]) -> String {
     out
 }
 
-/// Decodes a hex string (case-insensitive, even length, no separators).
-///
-/// # Errors
-///
-/// Returns [`CryptoError::InvalidCiphertext`] for odd lengths or
-/// non-hex characters.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(sea_crypto::from_hex("DEAD01").unwrap(), vec![0xde, 0xad, 0x01]);
-/// assert!(sea_crypto::from_hex("xyz").is_err());
-/// ```
-pub fn from_hex(s: &str) -> Result<Vec<u8>, CryptoError> {
-    if !s.len().is_multiple_of(2) {
-        return Err(CryptoError::InvalidCiphertext);
-    }
-    let digit = |c: u8| -> Result<u8, CryptoError> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(CryptoError::InvalidCiphertext),
-        }
-    };
-    s.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| Ok(digit(pair[0])? << 4 | digit(pair[1])?))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn case_insensitive_decode() {
-        assert_eq!(from_hex("aAbB").unwrap(), vec![0xaa, 0xbb]);
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(from_hex("a").is_err());
-        assert!(from_hex("0g").is_err());
-        assert!(from_hex("0 1").is_err());
-        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
-    }
 
     #[test]
     fn known_digest_encoding() {
         // SHA-1("abc") in hex, cross-checking the hash module's vector.
         let d = crate::Sha1::digest(b"abc");
         assert_eq!(to_hex(&d), "a9993e364706816aba3e25717850c26c9cd0d89d");
-        assert_eq!(from_hex(&to_hex(&d)).unwrap(), d.to_vec());
     }
 }

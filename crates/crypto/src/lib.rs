@@ -39,6 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod bignum;
@@ -56,9 +57,8 @@ pub use bignum::BigUint;
 pub use digest::Digest;
 pub use drbg::Drbg;
 pub use error::CryptoError;
-pub use hex::{from_hex, to_hex};
+pub use hex::to_hex;
 pub use hmac::Hmac;
-pub use prime::{generate_prime, is_probably_prime};
 pub use rsa::{OaepLabel, RsaPrivateKey, RsaPublicKey, Signature};
 pub use sha1::{Sha1, SHA1_DIGEST_LEN};
 pub use sha256::{Sha256, SHA256_DIGEST_LEN};

@@ -17,17 +17,7 @@ const MR_ROUNDS: usize = 40;
 
 /// Tests whether `n` is probably prime using trial division plus
 /// Miller–Rabin with witnesses drawn from `rng`.
-///
-/// # Example
-///
-/// ```
-/// use sea_crypto::{is_probably_prime, BigUint, Drbg};
-///
-/// let mut rng = Drbg::new(b"witnesses");
-/// assert!(is_probably_prime(&BigUint::from_u64(65_537), &mut rng));
-/// assert!(!is_probably_prime(&BigUint::from_u64(65_539 * 3), &mut rng));
-/// ```
-pub fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
+fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
@@ -77,7 +67,7 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
 /// Returns [`CryptoError::PrimeGenerationFailed`] if no prime is found
 /// within the iteration budget, and [`CryptoError::InvalidKeySize`] if
 /// `bits < 8`.
-pub fn generate_prime(bits: usize, rng: &mut Drbg) -> Result<BigUint, CryptoError> {
+pub(crate) fn generate_prime(bits: usize, rng: &mut Drbg) -> Result<BigUint, CryptoError> {
     if bits < 8 {
         return Err(CryptoError::InvalidKeySize { bits });
     }
@@ -175,7 +165,13 @@ mod tests {
         // only Miller–Rabin can reject them, then primes for contrast. The
         // witness stream's next word after each verdict is folded into a
         // SHA-1, so a change in how many witnesses were drawn shows too.
-        let hex = |s: &str| BigUint::from_bytes_be(&crate::from_hex(s).unwrap());
+        let hex = |s: &str| {
+            let bytes: Vec<u8> = (0..s.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+                .collect();
+            BigUint::from_bytes_be(&bytes)
+        };
         let mersenne = |p: usize| {
             BigUint::one()
                 .shl_bits(p)

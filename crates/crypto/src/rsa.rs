@@ -207,7 +207,7 @@ impl RsaPublicKey {
     /// # Errors
     ///
     /// Returns [`CryptoError::ValueOutOfRange`] if `m >= n`.
-    pub fn raw_encrypt(&self, m: &BigUint) -> Result<BigUint, CryptoError> {
+    fn raw_encrypt(&self, m: &BigUint) -> Result<BigUint, CryptoError> {
         if m >= &self.n {
             return Err(CryptoError::ValueOutOfRange);
         }
@@ -436,7 +436,7 @@ impl RsaPrivateKey {
     /// Returns [`CryptoError::ValueOutOfRange`] if `c >= n`, and
     /// [`CryptoError::CrtFault`] if a CRT result fails the public-exponent
     /// consistency check.
-    pub fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, CryptoError> {
+    fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, CryptoError> {
         if c >= &self.public.n {
             return Err(CryptoError::ValueOutOfRange);
         }

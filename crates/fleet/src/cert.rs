@@ -73,20 +73,9 @@ impl AikCert {
         self.platform
     }
 
-    /// Last virtual-time instant (inclusive) at which the certificate
-    /// is valid; `u64::MAX` means it never expires.
-    pub fn not_after_ns(&self) -> u64 {
-        self.not_after_ns
-    }
-
     /// Whether the certificate is expired at `now_ns`.
-    pub fn is_expired(&self, now_ns: u64) -> bool {
+    pub(crate) fn is_expired(&self, now_ns: u64) -> bool {
         now_ns > self.not_after_ns
-    }
-
-    /// The serialized AIK public key the certificate binds.
-    pub fn aik_bytes(&self) -> &[u8] {
-        &self.aik_bytes
     }
 
     /// Decodes the embedded AIK public key.
@@ -221,7 +210,7 @@ mod tests {
         let ca = keypair(b"cert test ca");
         let aik = keypair(b"cert test aik");
         let cert = AikCert::issue_expiring(&ca, 9, aik.public_key(), 1_000_000);
-        assert_eq!(cert.not_after_ns(), 1_000_000);
+        assert_eq!(cert.not_after_ns, 1_000_000);
         assert!(!cert.is_expired(1_000_000), "bound is inclusive");
         assert!(cert.is_expired(1_000_001));
         assert!(cert.verify(ca.public_key()));
@@ -233,12 +222,12 @@ mod tests {
         let mut stretched = cert.to_bytes();
         stretched[8..16].copy_from_slice(&u64::MAX.to_be_bytes());
         let forged = AikCert::from_bytes(&stretched).expect("structurally valid");
-        assert_eq!(forged.not_after_ns(), u64::MAX);
+        assert_eq!(forged.not_after_ns, u64::MAX);
         assert!(!forged.verify(ca.public_key()));
 
         // Never-expiring issue() is the u64::MAX special case.
         assert_eq!(
-            AikCert::issue(&ca, 9, aik.public_key()).not_after_ns(),
+            AikCert::issue(&ca, 9, aik.public_key()).not_after_ns,
             u64::MAX
         );
     }

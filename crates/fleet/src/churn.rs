@@ -202,7 +202,7 @@ impl ChurnPlan {
     /// When (if ever) `platform` reboots mid-sweep. The *whether* roll
     /// goes through the hardware layer's [`ResetPlan`]; the instant is
     /// a seeded draw over the reboot window.
-    pub fn reboot_instant(&self, platform: u64) -> Option<u64> {
+    fn reboot_instant(&self, platform: u64) -> Option<u64> {
         if self.reboot_rate == 0 {
             return None;
         }
@@ -222,7 +222,7 @@ impl ChurnPlan {
     /// transmit: a platform inside its reboot blackout
     /// (`[instant, instant + RESET_REBOOT_COST)`) transmits when the
     /// reboot finishes.
-    pub fn available_at(&self, platform: u64, t_ns: u64) -> u64 {
+    pub(crate) fn available_at(&self, platform: u64, t_ns: u64) -> u64 {
         match self.reboot_instant(platform) {
             Some(r) if t_ns >= r && t_ns < r + RESET_REBOOT_COST.as_ns() => {
                 r + RESET_REBOOT_COST.as_ns()
@@ -245,7 +245,7 @@ impl ChurnPlan {
 
     /// The adversarial wires to interleave alongside honest request
     /// `request`, in a fixed kind order.
-    pub fn adversaries_for(&self, request: u64) -> Vec<AdversaryKind> {
+    pub(crate) fn adversaries_for(&self, request: u64) -> Vec<AdversaryKind> {
         let mut kinds = Vec::new();
         if self.rate_roll(SITE_REPLAY, request, self.replay_rate) {
             kinds.push(AdversaryKind::Replay);

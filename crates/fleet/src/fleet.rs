@@ -984,11 +984,7 @@ mod tests {
     fn total_loss_times_out_with_typed_fates() {
         let cfg = FleetConfig::new(2, 4)
             .with_churn(ChurnPlan::new(1).with_net(NetPlan::new(1).with_drop_rate(RATE_DENOM)))
-            .with_lifecycle(
-                FleetPolicy::resilient()
-                    .with_max_attempts(2)
-                    .with_timeout_ns(1_000_000),
-            );
+            .with_lifecycle(FleetPolicy::resilient().with_max_attempts(2));
         let out = run_fleet(&cfg);
         assert_eq!(out.accepted, 0);
         assert_eq!(out.timed_out, 4);

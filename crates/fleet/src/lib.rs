@@ -11,27 +11,27 @@
 //! in depth; this crate builds the relying-party side as a genuinely
 //! separate trust domain and then scales both to a fleet:
 //!
-//! * [`verifier`] — the remote verifier: wire-quote parsing, AIK
+//! * [`VerifierService`] — the remote verifier: wire-quote parsing, AIK
 //!   certificate-chain walking (with a session-ticket cache), quote
 //!   signature verification, nonce freshness, measurement-chain replay,
-//!   and a TCB-status policy verdict. The module imports **only
+//!   and a TCB-status policy verdict. Its module imports **only
 //!   `sea_crypto` and `std`** — its view of a quote is the canonical
 //!   wire bytes, never a platform struct (`scripts/ci.sh` greps to keep
 //!   it that way).
-//! * [`cert`] — privacy-CA certificates binding an AIK to a platform.
-//! * [`tcb`] — the versioned TCB-info table and composable acceptance
-//!   policy (`UpToDate` / `OutOfDate` / `Revoked`).
-//! * [`vault`] — process-cached deterministic key material (now with
+//! * [`AikCert`] — privacy-CA certificates binding an AIK to a platform.
+//! * [`TcbInfo`] and [`TcbPolicy`] — the versioned TCB-info table and
+//!   composable acceptance policy (`UpToDate` / `OutOfDate` / `Revoked`).
+//! * [`KeyVault`] — process-cached deterministic key material (now with
 //!   AIK *generations* for rotation) so a 1000-platform fleet does not
 //!   pay RSA keygen per run.
-//! * [`policy`] — the client-side request lifecycle policy
-//!   ([`FleetPolicy`]: bounded attempts, per-attempt timeout,
-//!   exponential backoff) and the typed terminal [`RequestFate`].
-//! * [`churn`] — seeded platform churn and adversarial traffic
-//!   ([`ChurnPlan`]): network faults via `sea_hw::NetPlan`, mid-sweep
-//!   reboots, certificate rotation + re-enrollment, staged TCB pushes,
-//!   and replay / stale-nonce / bit-flip / forged-cert wires.
-//! * [`fleet`] — the fleet itself: per-request platform assignment via
+//! * [`FleetPolicy`] — the client-side request lifecycle policy
+//!   (bounded attempts, per-attempt timeout, exponential backoff) and
+//!   the typed terminal [`RequestFate`].
+//! * [`ChurnPlan`] — seeded platform churn and adversarial traffic:
+//!   network faults via `sea_hw::NetPlan`, mid-sweep reboots,
+//!   certificate rotation + re-enrollment, staged TCB pushes, and
+//!   replay / stale-nonce / bit-flip / forged-cert wires.
+//! * [`run_fleet`] — the fleet itself: per-request platform assignment via
 //!   `sea_os::Dispatcher`, sharded execution of per-platform
 //!   `SessionEngine`s, an `EventQueue` merge of completions, and the
 //!   verifier as a single queueing server in virtual time driving each
@@ -53,15 +53,16 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod cert;
-pub mod churn;
-pub mod fleet;
-pub mod policy;
-pub mod tcb;
-pub mod vault;
-pub mod verifier;
+mod cert;
+mod churn;
+mod fleet;
+mod policy;
+mod tcb;
+mod vault;
+mod verifier;
 
 pub use cert::AikCert;
 pub use churn::{AdversaryKind, ChurnPlan, TcbPush};
@@ -70,7 +71,7 @@ pub use fleet::{
     FleetConfig, FleetOutcome, RequestOutcome, FLEET_SERVICE, NETWORK_RTT_NS,
 };
 pub use policy::{FleetPolicy, RequestFate};
-pub use tcb::{TcbInfo, TcbPolicy, TcbRollout, TcbStatus, TcbVerdict};
+pub use tcb::{TcbInfo, TcbPolicy, TcbRollout, TcbStatus};
 pub use vault::KeyVault;
 pub use verifier::{
     expected_chain, parse_wire, Attestation, MissingKind, ParsedQuote, ParsedSource, RejectReason,

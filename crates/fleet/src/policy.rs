@@ -62,14 +62,14 @@ impl fmt::Display for RequestFate {
 /// # Example
 ///
 /// ```
-/// use sea_fleet::FleetPolicy;
+/// use sea_fleet::{run_fleet, FleetConfig, FleetPolicy};
 ///
-/// let p = FleetPolicy::resilient();
-/// assert!(p.max_attempts() > 1);
-/// // Exponential, capped backoff: each retry waits twice as long.
-/// assert_eq!(p.backoff_ns(2), 2 * p.backoff_ns(1));
-/// let plain = FleetPolicy::plain();
-/// assert_eq!(plain.max_attempts(), 1);
+/// // On a lossless network every first attempt is verified, so a
+/// // retrying policy never retries.
+/// let cfg = FleetConfig::new(2, 4).with_lifecycle(FleetPolicy::resilient());
+/// let out = run_fleet(&cfg);
+/// assert_eq!(out.accepted, 4);
+/// assert_eq!(out.retries, 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetPolicy {
@@ -112,26 +112,19 @@ impl FleetPolicy {
         self
     }
 
-    /// Overrides the per-attempt timeout.
-    #[must_use]
-    pub fn with_timeout_ns(mut self, timeout_ns: u64) -> Self {
-        self.timeout_ns = timeout_ns;
-        self
-    }
-
     /// Total attempts allowed per request (first send included).
-    pub fn max_attempts(&self) -> u32 {
+    pub(crate) fn max_attempts(&self) -> u32 {
         self.max_attempts
     }
 
     /// Per-attempt client timeout.
-    pub fn timeout_ns(&self) -> u64 {
+    pub(crate) fn timeout_ns(&self) -> u64 {
         self.timeout_ns
     }
 
     /// Backoff before retry number `retry` (1-based): exponential in
     /// the base, saturating at the cap.
-    pub fn backoff_ns(&self, retry: u32) -> u64 {
+    pub(crate) fn backoff_ns(&self, retry: u32) -> u64 {
         if self.backoff_base_ns == 0 || retry == 0 {
             return 0;
         }

@@ -137,20 +137,20 @@ impl TcbRollout {
     }
 
     /// When the new table reaches `platform`'s propagation group.
-    pub fn arrival_ns(&self, platform: u64) -> u64 {
+    fn arrival_ns(&self, platform: u64) -> u64 {
         self.announced_ns
             .saturating_add((platform % self.groups).saturating_mul(self.group_delay_ns))
     }
 
     /// Whether `platform` already sees the new table at `now_ns`.
-    pub fn active_for(&self, platform: u64, now_ns: u64) -> bool {
+    pub(crate) fn active_for(&self, platform: u64, now_ns: u64) -> bool {
         now_ns >= self.arrival_ns(platform)
     }
 
     /// Whether `now_ns` is inside `platform`'s stale-TCB grace window
     /// (the bounded span after arrival during which `OutOfDate` builds
     /// are still accepted, degraded).
-    pub fn in_grace(&self, platform: u64, now_ns: u64) -> bool {
+    pub(crate) fn in_grace(&self, platform: u64, now_ns: u64) -> bool {
         self.active_for(platform, now_ns)
             && now_ns <= self.arrival_ns(platform).saturating_add(self.grace_ns)
     }
@@ -158,7 +158,7 @@ impl TcbRollout {
 
 /// What a policy decides about one status lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcbVerdict {
+pub(crate) enum TcbVerdict {
     /// Accepted; carries the status so relying parties can still
     /// surface "accepted, but out of date" to operators.
     Accepted(TcbStatus),
@@ -167,33 +167,14 @@ pub enum TcbVerdict {
     OutOfDate,
     /// Rejected: the build is revoked (no policy accepts this).
     Revoked,
-    /// Rejected: the build is not listed in the table and the policy
-    /// requires listing.
+    /// Rejected: the build is not listed in the table.
     Unlisted,
 }
 
 /// A composable acceptance policy over [`TcbStatus`] lookups.
-///
-/// # Example
-///
-/// ```
-/// use sea_fleet::{TcbPolicy, TcbStatus, TcbVerdict};
-///
-/// let strict = TcbPolicy::strict();
-/// assert_eq!(
-///     strict.evaluate(Some(TcbStatus::OutOfDate)),
-///     TcbVerdict::OutOfDate
-/// );
-/// let tolerant = TcbPolicy::strict().accept_out_of_date(true);
-/// assert_eq!(
-///     tolerant.evaluate(Some(TcbStatus::OutOfDate)),
-///     TcbVerdict::Accepted(TcbStatus::OutOfDate)
-/// );
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcbPolicy {
     accept_out_of_date: bool,
-    require_listed: bool,
 }
 
 impl TcbPolicy {
@@ -201,7 +182,6 @@ impl TcbPolicy {
     pub fn strict() -> Self {
         TcbPolicy {
             accept_out_of_date: false,
-            require_listed: true,
         }
     }
 
@@ -211,17 +191,9 @@ impl TcbPolicy {
         self
     }
 
-    /// Whether unlisted builds are rejected (builder-style). Disabling
-    /// this treats an unlisted build as `UpToDate` — the posture of a
-    /// deployment that has not yet published a table.
-    pub fn require_listed(mut self, yes: bool) -> Self {
-        self.require_listed = yes;
-        self
-    }
-
     /// Evaluates one status lookup. `Revoked` is terminal under every
     /// composition.
-    pub fn evaluate(&self, status: Option<TcbStatus>) -> TcbVerdict {
+    pub(crate) fn evaluate(&self, status: Option<TcbStatus>) -> TcbVerdict {
         match status {
             Some(TcbStatus::UpToDate) => TcbVerdict::Accepted(TcbStatus::UpToDate),
             Some(TcbStatus::OutOfDate) if self.accept_out_of_date => {
@@ -229,8 +201,7 @@ impl TcbPolicy {
             }
             Some(TcbStatus::OutOfDate) => TcbVerdict::OutOfDate,
             Some(TcbStatus::Revoked) => TcbVerdict::Revoked,
-            None if self.require_listed => TcbVerdict::Unlisted,
-            None => TcbVerdict::Accepted(TcbStatus::UpToDate),
+            None => TcbVerdict::Unlisted,
         }
     }
 }
@@ -267,10 +238,6 @@ mod tests {
         for policy in [
             TcbPolicy::strict(),
             TcbPolicy::strict().accept_out_of_date(true),
-            TcbPolicy::strict().require_listed(false),
-            TcbPolicy::strict()
-                .accept_out_of_date(true)
-                .require_listed(false),
         ] {
             assert_eq!(
                 policy.evaluate(Some(TcbStatus::Revoked)),
@@ -300,11 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn unlisted_depends_on_policy() {
-        assert_eq!(TcbPolicy::strict().evaluate(None), TcbVerdict::Unlisted);
-        assert_eq!(
-            TcbPolicy::strict().require_listed(false).evaluate(None),
-            TcbVerdict::Accepted(TcbStatus::UpToDate)
-        );
+    fn unlisted_is_rejected_under_every_policy() {
+        for policy in [
+            TcbPolicy::strict(),
+            TcbPolicy::strict().accept_out_of_date(true),
+        ] {
+            assert_eq!(policy.evaluate(None), TcbVerdict::Unlisted);
+        }
     }
 }

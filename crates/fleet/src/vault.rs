@@ -147,7 +147,7 @@ mod tests {
         );
         let rotated = vault.certificate_generation(4, 1, 77);
         assert_eq!(rotated.platform(), 4);
-        assert_eq!(rotated.not_after_ns(), 77);
+        assert!(!rotated.is_expired(77) && rotated.is_expired(78));
         assert!(rotated.verify(&vault.ca_public()));
         assert_eq!(
             &rotated.aik().expect("embedded key"),

@@ -60,17 +60,17 @@ const PCR_MINUS_ONE: Sha1Digest = [0xFF; 20];
 const CHAIN_ZERO: Sha1Digest = [0x00; 20];
 
 /// Virtual cost of parsing and framing checks, per request.
-pub const PARSE_COST_NS: u64 = 2_000;
+const PARSE_COST_NS: u64 = 2_000;
 /// Virtual cost of a full AIK certificate-chain walk (RSA verify).
-pub const CERT_WALK_COST_NS: u64 = 150_000;
+const CERT_WALK_COST_NS: u64 = 150_000;
 /// Virtual cost of a session-ticket cache hit replacing the walk.
-pub const TICKET_HIT_COST_NS: u64 = 1_000;
+const TICKET_HIT_COST_NS: u64 = 1_000;
 /// Virtual cost of the quote signature verification (RSA verify).
-pub const SIG_VERIFY_COST_NS: u64 = 50_000;
+const SIG_VERIFY_COST_NS: u64 = 50_000;
 /// Virtual cost of the chain replay + TCB policy evaluation.
-pub const POLICY_COST_NS: u64 = 500;
+const POLICY_COST_NS: u64 = 500;
 /// Virtual cost of rejecting a session that produced no quote at all.
-pub const REJECT_MISSING_COST_NS: u64 = 500;
+const REJECT_MISSING_COST_NS: u64 = 500;
 
 /// One SHA-1 extend step: `chain ← SHA1(chain ‖ measurement)`.
 fn extend(chain: &Sha1Digest, measurement: &Sha1Digest) -> Sha1Digest {

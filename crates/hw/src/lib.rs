@@ -20,9 +20,9 @@
 //!   with VM-entry/exit microcosts (Table 2).
 //! * [`LpcBus`] — the low-pin-count bus (16.67 MB/s peak) whose long wait
 //!   cycles dominate `SKINIT` latency (Table 1).
-//! * [`Platform`] — presets for every machine the paper measures
-//!   (HP dc5750, Tyan n3600R, Intel TEP, Lenovo T60, AMD/Infineon
-//!   workstation) and for the paper's *recommended* hardware.
+//! * [`Platform`] — presets for the machines whose late launch the paper
+//!   measures (HP dc5750, Tyan n3600R, Intel TEP) and for the paper's
+//!   *recommended* hardware.
 //! * [`Machine`] — the assembled platform with checked memory access paths
 //!   for CPUs and DMA devices.
 //!
@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod controller;
@@ -52,7 +53,7 @@ mod lpc;
 mod machine;
 mod memory;
 mod net;
-pub mod obs;
+mod obs;
 mod platform;
 mod reset;
 mod time;
@@ -67,10 +68,10 @@ pub use fault::{FaultKind, FaultPlan, RATE_DENOM, TRANSPORT_FAULT_COST};
 pub use lpc::LpcBus;
 pub use machine::{Device, Machine, MachineBuilder};
 pub use memory::Memory;
-pub use net::{NetFault, NetPlan, NET_DELAY_SPREAD, NET_DUPLICATE_GAP, NET_REORDER_WINDOW};
+pub use net::NetPlan;
 pub use obs::{
-    check_well_nested, Layer, LayerHistogram, LockStats, NullSink, Obs, ObsSnapshot, RecordingSink,
-    Sink, SpanKind, SpanRecord, HISTOGRAM_BUCKETS, PLATFORM_TRACK,
+    check_well_nested, Layer, LayerHistogram, LockStats, Obs, ObsSnapshot, RecordingSink, Sink,
+    SpanKind, SpanRecord, HISTOGRAM_BUCKETS, PLATFORM_TRACK,
 };
 pub use platform::{CpuVendor, LateLaunchModel, Platform, TpmKind, VirtTiming};
 pub use reset::{ResetPlan, RESET_REBOOT_COST};

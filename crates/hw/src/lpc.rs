@@ -11,10 +11,6 @@
 
 use crate::time::SimDuration;
 
-/// Theoretical peak LPC bandwidth (bytes per second), from the Intel LPC
-/// interface specification cited by the paper (reference \[9\]).
-pub const LPC_PEAK_BYTES_PER_SEC: u64 = 16_670_000;
-
 /// A model of the LPC bus with a fixed effective per-byte cost.
 ///
 /// # Example
@@ -47,16 +43,6 @@ impl LpcBus {
         LpcBus { ns_per_byte }
     }
 
-    /// A bus running at the theoretical 16.67 MB/s peak (~60 ns/B).
-    pub fn at_peak_bandwidth() -> Self {
-        LpcBus::new(1e9 / LPC_PEAK_BYTES_PER_SEC as f64)
-    }
-
-    /// Effective cost in nanoseconds per byte.
-    pub fn ns_per_byte(&self) -> f64 {
-        self.ns_per_byte
-    }
-
     /// Time to move `bytes` bytes across the bus.
     pub fn transfer_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_ns_f64(bytes as f64 * self.ns_per_byte)
@@ -66,13 +52,6 @@ impl LpcBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peak_bandwidth_matches_paper_prediction() {
-        // "the fastest possible transfer of 64 KB is 3.8 ms"
-        let t = LpcBus::at_peak_bandwidth().transfer_time(64 * 1024);
-        assert!((t.as_ms_f64() - 3.93).abs() < 0.15, "got {}", t);
-    }
 
     #[test]
     fn transfer_scales_linearly() {

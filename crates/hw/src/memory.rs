@@ -131,7 +131,7 @@ impl Memory {
     }
 
     /// Pages touched by the byte range `[addr, addr+len)`.
-    pub fn pages_spanned(addr: PhysAddr, len: usize) -> impl Iterator<Item = PageIndex> {
+    pub(crate) fn pages_spanned(addr: PhysAddr, len: usize) -> impl Iterator<Item = PageIndex> {
         let first = addr.page().0;
         let last = if len == 0 {
             first

@@ -23,22 +23,22 @@ use crate::time::SimDuration;
 
 /// Spread of an injected long delay: the extra latency rolled for a
 /// *delayed* wire is uniform in `1..=spread`.
-pub const NET_DELAY_SPREAD: SimDuration = SimDuration::from_us(500);
+const NET_DELAY_SPREAD: SimDuration = SimDuration::from_us(500);
 
 /// Reorder window: a *reordered* wire picks up a small extra
 /// latency in `1..=window`, enough to land behind its successors
 /// without looking like a routing anomaly.
-pub const NET_REORDER_WINDOW: SimDuration = SimDuration::from_us(60);
+const NET_REORDER_WINDOW: SimDuration = SimDuration::from_us(60);
 
 /// Gap between the two copies of a duplicated wire.
-pub const NET_DUPLICATE_GAP: SimDuration = SimDuration::from_us(40);
+const NET_DUPLICATE_GAP: SimDuration = SimDuration::from_us(40);
 
 /// What the network decided to do with one transmitted wire. Purely
 /// informational — [`NetPlan::deliveries`] already folds the decision
 /// into arrival offsets — but useful for logging and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum NetFault {
+enum NetFault {
     /// The wire was dropped; no copy arrives.
     Dropped,
     /// The wire arrives once, late by the carried extra nanoseconds.
@@ -146,7 +146,7 @@ impl NetPlan {
     /// The faults the network applies to transmission `(key, seq)`,
     /// in the plan's fixed precedence order. Empty means an on-time,
     /// single-copy delivery.
-    pub fn roll_faults(&self, key: u64, seq: u64) -> Vec<NetFault> {
+    fn roll_faults(&self, key: u64, seq: u64) -> Vec<NetFault> {
         if self
             .rate_hit(SITE_NET_DROP, key, seq, self.drop_rate)
             .is_some()

@@ -150,7 +150,7 @@ impl Default for LayerHistogram {
 
 impl LayerHistogram {
     /// The bucket index a duration falls into.
-    pub fn bucket_of(d: SimDuration) -> usize {
+    fn bucket_of(d: SimDuration) -> usize {
         let bits = (u64::BITS - d.as_ns().leading_zeros()) as usize;
         bits.min(HISTOGRAM_BUCKETS - 1)
     }
@@ -266,7 +266,7 @@ pub trait Sink: Send + Sync {
 
 /// A sink that drops everything (the default wiring).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
+struct NullSink;
 
 impl Sink for NullSink {
     fn enabled(&self) -> bool {

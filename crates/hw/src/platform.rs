@@ -220,47 +220,6 @@ impl Platform {
         }
     }
 
-    /// Lenovo T60 laptop with an Atmel v1.2 TPM (TPM microbenchmarks
-    /// only; Figure 3).
-    pub fn lenovo_t60() -> Self {
-        Platform {
-            name: "Lenovo T60".to_owned(),
-            vendor: CpuVendor::Intel,
-            cpu_ghz: 2.0,
-            n_cpus: 2,
-            mem_pages: DEFAULT_MEM_PAGES,
-            tpm_kind: TpmKind::AtmelT60,
-            lpc_ns_per_byte: LPC_MEASURED_NS_PER_BYTE,
-            late_launch: LateLaunchModel::IntelSenter {
-                acmod_cost: SimDuration::from_ns(26_390_000),
-                cpu_hash_ns_per_byte: 121.45,
-            },
-            virt: VirtTiming::intel(),
-            supports_slaunch: false,
-            sepcr_count: 0,
-        }
-    }
-
-    /// AMD workstation with an Infineon v1.2 TPM (the best average
-    /// performer in Figure 3).
-    pub fn amd_infineon_ws() -> Self {
-        Platform {
-            name: "AMD/Infineon workstation".to_owned(),
-            vendor: CpuVendor::Amd,
-            cpu_ghz: 2.2,
-            n_cpus: 2,
-            mem_pages: DEFAULT_MEM_PAGES,
-            tpm_kind: TpmKind::Infineon,
-            lpc_ns_per_byte: LPC_MEASURED_NS_PER_BYTE,
-            late_launch: LateLaunchModel::AmdSkinit {
-                cpu_init: SimDuration::from_us(3),
-            },
-            virt: VirtTiming::amd(),
-            supports_slaunch: false,
-            sepcr_count: 0,
-        }
-    }
-
     /// The paper's *recommended* hardware (§5): `SLAUNCH`/`SYIELD`/
     /// `SFREE`/`SKILL`, a per-page × per-CPU access-control table,
     /// preemption timers, and a TPM with `sepcr_count` = 2 × cores
@@ -335,8 +294,6 @@ mod tests {
             Platform::hp_dc5750(),
             Platform::tyan_n3600r(),
             Platform::intel_tep(),
-            Platform::lenovo_t60(),
-            Platform::amd_infineon_ws(),
         ] {
             assert!(!p.supports_slaunch, "{}", p.name);
             assert_eq!(p.sepcr_count, 0, "{}", p.name);

@@ -164,7 +164,7 @@ impl PhysAddr {
     }
 
     /// Byte offset within the containing page.
-    pub fn page_offset(self) -> usize {
+    pub(crate) fn page_offset(self) -> usize {
         (self.0 % PAGE_SIZE as u64) as usize
     }
 

@@ -25,6 +25,7 @@
 //! cope with.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod adversary;

@@ -27,6 +27,7 @@
 //! two runs *is* the paper's argument.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod ca;

@@ -19,7 +19,7 @@ use sea_core::vm::{op, Insn, Program};
 ///
 /// [`finish`]: Asm::finish
 #[derive(Debug, Default)]
-pub struct Asm {
+pub(crate) struct Asm {
     insns: Vec<Insn>,
     fixups: Vec<(usize, &'static str)>,
     labels: HashMap<&'static str, u32>,
@@ -28,7 +28,7 @@ pub struct Asm {
 
 impl Asm {
     /// A fresh, empty program.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Asm::default()
     }
 
@@ -47,7 +47,7 @@ impl Asm {
     /// # Panics
     ///
     /// Panics if the label was already placed.
-    pub fn label(&mut self, name: &'static str) -> &mut Self {
+    pub(crate) fn label(&mut self, name: &'static str) -> &mut Self {
         let here = self.insns.len() as u32;
         assert!(
             self.labels.insert(name, here).is_none(),
@@ -57,176 +57,161 @@ impl Asm {
     }
 
     /// Appends `bytes` to the data segment, returning their address.
-    pub fn data(&mut self, bytes: &[u8]) -> u32 {
+    pub(crate) fn data(&mut self, bytes: &[u8]) -> u32 {
         let at = self.data.len() as u32;
         self.data.extend_from_slice(bytes);
         at
     }
 
     /// `rd = imm`.
-    pub fn movi(&mut self, rd: u8, imm: u32) -> &mut Self {
+    pub(crate) fn movi(&mut self, rd: u8, imm: u32) -> &mut Self {
         self.emit(op::MOVI, rd, 0, 0, imm)
     }
 
     /// `rd = ra`.
-    pub fn mov(&mut self, rd: u8, ra: u8) -> &mut Self {
+    pub(crate) fn mov(&mut self, rd: u8, ra: u8) -> &mut Self {
         self.emit(op::MOV, rd, ra, 0, 0)
     }
 
     /// `rd = ra + rb` (wrapping).
-    pub fn add(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
+    pub(crate) fn add(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
         self.emit(op::ADD, rd, ra, rb, 0)
     }
 
     /// `rd = ra - rb` (wrapping).
-    pub fn sub(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
+    pub(crate) fn sub(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
         self.emit(op::SUB, rd, ra, rb, 0)
     }
 
-    /// `rd = ra * rb` (wrapping).
-    pub fn mul(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
-        self.emit(op::MUL, rd, ra, rb, 0)
-    }
-
     /// `rd = ra / rb` (traps on zero divisor).
-    pub fn divu(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
+    pub(crate) fn divu(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
         self.emit(op::DIVU, rd, ra, rb, 0)
     }
 
     /// `rd = ra % rb` (traps on zero divisor).
-    pub fn remu(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
+    pub(crate) fn remu(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
         self.emit(op::REMU, rd, ra, rb, 0)
     }
 
     /// `rd = ra & rb`.
-    pub fn and(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
+    pub(crate) fn and(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
         self.emit(op::AND, rd, ra, rb, 0)
     }
 
     /// `rd = ra | rb`.
-    pub fn or(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
+    pub(crate) fn or(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
         self.emit(op::OR, rd, ra, rb, 0)
     }
 
     /// `rd = ra ^ rb`.
-    pub fn xor(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
+    pub(crate) fn xor(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
         self.emit(op::XOR, rd, ra, rb, 0)
     }
 
-    /// `rd = ra << (rb & 63)`.
-    pub fn shl(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
-        self.emit(op::SHL, rd, ra, rb, 0)
-    }
-
-    /// `rd = ra >> (rb & 63)` (logical).
-    pub fn shr(&mut self, rd: u8, ra: u8, rb: u8) -> &mut Self {
-        self.emit(op::SHR, rd, ra, rb, 0)
-    }
-
     /// `rd = ra + imm` (wrapping).
-    pub fn addi(&mut self, rd: u8, ra: u8, imm: u32) -> &mut Self {
+    pub(crate) fn addi(&mut self, rd: u8, ra: u8, imm: u32) -> &mut Self {
         self.emit(op::ADDI, rd, ra, 0, imm)
     }
 
     /// `rd = mem[ra + off]` (one byte, zero-extended).
-    pub fn ld8(&mut self, rd: u8, ra: u8, off: u32) -> &mut Self {
+    pub(crate) fn ld8(&mut self, rd: u8, ra: u8, off: u32) -> &mut Self {
         self.emit(op::LD8, rd, ra, 0, off)
     }
 
     /// `rd = mem[ra + off .. +8]` (u64 LE).
-    pub fn ld64(&mut self, rd: u8, ra: u8, off: u32) -> &mut Self {
+    pub(crate) fn ld64(&mut self, rd: u8, ra: u8, off: u32) -> &mut Self {
         self.emit(op::LD64, rd, ra, 0, off)
     }
 
     /// `mem[ra + off] = rb as u8`.
-    pub fn st8(&mut self, ra: u8, off: u32, rb: u8) -> &mut Self {
+    pub(crate) fn st8(&mut self, ra: u8, off: u32, rb: u8) -> &mut Self {
         self.emit(op::ST8, ra, rb, 0, off)
     }
 
     /// `mem[ra + off .. +8] = rb` (u64 LE).
-    pub fn st64(&mut self, ra: u8, off: u32, rb: u8) -> &mut Self {
+    pub(crate) fn st64(&mut self, ra: u8, off: u32, rb: u8) -> &mut Self {
         self.emit(op::ST64, ra, rb, 0, off)
     }
 
     /// Unconditional jump to `target`.
-    pub fn jmp(&mut self, target: &'static str) -> &mut Self {
+    pub(crate) fn jmp(&mut self, target: &'static str) -> &mut Self {
         self.branch(op::JMP, 0, 0, target)
     }
 
     /// Jump to `target` if `ra == 0`.
-    pub fn jz(&mut self, ra: u8, target: &'static str) -> &mut Self {
+    pub(crate) fn jz(&mut self, ra: u8, target: &'static str) -> &mut Self {
         self.branch(op::JZ, ra, 0, target)
     }
 
     /// Jump to `target` if `ra != 0`.
-    pub fn jnz(&mut self, ra: u8, target: &'static str) -> &mut Self {
+    pub(crate) fn jnz(&mut self, ra: u8, target: &'static str) -> &mut Self {
         self.branch(op::JNZ, ra, 0, target)
     }
 
     /// Jump to `target` if `ra < rb` (unsigned).
-    pub fn jlt(&mut self, ra: u8, rb: u8, target: &'static str) -> &mut Self {
+    pub(crate) fn jlt(&mut self, ra: u8, rb: u8, target: &'static str) -> &mut Self {
         self.branch(op::JLT, ra, rb, target)
     }
 
     /// Abort with application trap code `code`.
-    pub fn trap(&mut self, code: u32) -> &mut Self {
+    pub(crate) fn trap(&mut self, code: u32) -> &mut Self {
         self.emit(op::TRAP, 0, 0, 0, code)
     }
 
     /// Draw `r_len` random bytes at `mem[r_dst]`.
-    pub fn random(&mut self, r_dst: u8, r_len: u8) -> &mut Self {
+    pub(crate) fn random(&mut self, r_dst: u8, r_len: u8) -> &mut Self {
         self.emit(op::RANDOM, r_dst, r_len, 0, 0)
     }
 
     /// Seal the length-prefixed buffer at `mem[r_src]` into `slot`.
-    pub fn seal(&mut self, r_src: u8, slot: u32) -> &mut Self {
+    pub(crate) fn seal(&mut self, r_src: u8, slot: u32) -> &mut Self {
         self.emit(op::SEAL, r_src, 0, 0, slot)
     }
 
     /// Unseal `slot` as a length-prefixed buffer at `mem[r_dst]`.
-    pub fn unseal(&mut self, r_dst: u8, slot: u32) -> &mut Self {
+    pub(crate) fn unseal(&mut self, r_dst: u8, slot: u32) -> &mut Self {
         self.emit(op::UNSEAL, r_dst, 0, 0, slot)
     }
 
     /// Extend the 20-byte digest at `mem[ra]` into the measurement
     /// chain.
-    pub fn measure(&mut self, ra: u8) -> &mut Self {
+    pub(crate) fn measure(&mut self, ra: u8) -> &mut Self {
         self.emit(op::MEASURE, ra, 0, 0, 0)
     }
 
     /// Persist the length-prefixed buffer at `mem[ra]` as in-region
     /// state and yield.
-    pub fn yield_(&mut self, ra: u8) -> &mut Self {
+    pub(crate) fn yield_(&mut self, ra: u8) -> &mut Self {
         self.emit(op::YIELD, ra, 0, 0, 0)
     }
 
     /// Exit with the length-prefixed buffer at `mem[ra]` as output.
-    pub fn exit(&mut self, ra: u8) -> &mut Self {
+    pub(crate) fn exit(&mut self, ra: u8) -> &mut Self {
         self.emit(op::EXIT, ra, 0, 0, 0)
     }
 
     /// SHA-1 the length-prefixed buffer at `mem[r_src]`, writing 20 raw
     /// digest bytes at `mem[r_dst]`.
-    pub fn hash(&mut self, r_dst: u8, r_src: u8) -> &mut Self {
+    pub(crate) fn hash(&mut self, r_dst: u8, r_src: u8) -> &mut Self {
         self.emit(op::HASH, r_dst, r_src, 0, 0)
     }
 
     /// Generate a `bits`-bit RSA key from the 32-byte seed at
     /// `mem[r_seed]`, serialized length-prefixed at `mem[r_dst]`.
-    pub fn rsagen(&mut self, r_dst: u8, r_seed: u8, bits: u32) -> &mut Self {
+    pub(crate) fn rsagen(&mut self, r_dst: u8, r_seed: u8, bits: u32) -> &mut Self {
         self.emit(op::RSAGEN, r_dst, r_seed, 0, bits)
     }
 
     /// Encode the public half of the length-prefixed private key at
     /// `mem[r_key]`, length-prefixed at `mem[r_dst]`.
-    pub fn rsapub(&mut self, r_dst: u8, r_key: u8) -> &mut Self {
+    pub(crate) fn rsapub(&mut self, r_dst: u8, r_key: u8) -> &mut Self {
         self.emit(op::RSAPUB, r_dst, r_key, 0, 0)
     }
 
     /// PKCS#1 v1.5-sign the 20-byte digest at `mem[r_digest]` with the
     /// length-prefixed private key at `mem[r_key]`, signature
     /// length-prefixed at `mem[r_dst]`.
-    pub fn rsasign(&mut self, r_dst: u8, r_key: u8, r_digest: u8) -> &mut Self {
+    pub(crate) fn rsasign(&mut self, r_dst: u8, r_key: u8, r_digest: u8) -> &mut Self {
         self.emit(op::RSASIGN, r_dst, r_key, r_digest, 0)
     }
 
@@ -235,7 +220,7 @@ impl Asm {
     /// # Panics
     ///
     /// Panics if a branch names a label that was never placed.
-    pub fn finish(mut self) -> Program {
+    pub(crate) fn finish(mut self) -> Program {
         for (at, target) in &self.fixups {
             let dest = *self
                 .labels

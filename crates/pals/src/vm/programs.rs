@@ -78,7 +78,7 @@ fn digest_compare(
 /// `[1]`), tag `0x01` verifies (unseals the record, recomputes the
 /// salted digest of the attempt, constant-time compares, outputs `[1]`
 /// or `[0]`).
-pub fn ssh_program() -> Program {
+fn ssh_program() -> Program {
     let mut a = Asm::new();
     // Heap layout: record (len ‖ salt ‖ digest) at r2..r2+44, hash
     // buffer (len ‖ salt ‖ password) at r2+48, output at r2+104.
@@ -211,7 +211,7 @@ pub fn ca_program() -> Program {
 /// # Panics
 ///
 /// Panics if `n < 4` or `candidates_per_quantum == 0`.
-pub fn factoring_program(n: u64, candidates_per_quantum: u64, mode: PersistMode) -> Program {
+fn factoring_program(n: u64, candidates_per_quantum: u64, mode: PersistMode) -> Program {
     assert!(n >= 4, "nothing to factor");
     assert!(candidates_per_quantum > 0, "quantum must make progress");
     let mut a = Asm::new();
@@ -289,7 +289,7 @@ pub fn factoring_program(n: u64, candidates_per_quantum: u64, mode: PersistMode)
 /// attestation machinery. Hashes the input snapshot, measures the
 /// digest into the attestation chain, scans the whitelist with a
 /// constant-time compare, and outputs the verdict byte.
-pub fn rootkit_program(whitelist: &[Sha1Digest]) -> Program {
+fn rootkit_program(whitelist: &[Sha1Digest]) -> Program {
     let mut a = Asm::new();
     let mut seg = (whitelist.len() as u64).to_le_bytes().to_vec();
     for d in whitelist {
@@ -360,7 +360,7 @@ pub fn vm_rootkit(known_good_kernels: &[&[u8]]) -> VmPal {
 }
 
 /// The executed-bytecode rootkit detector from precomputed digests.
-pub fn vm_rootkit_from_digests(whitelist: Vec<Sha1Digest>) -> VmPal {
+fn vm_rootkit_from_digests(whitelist: Vec<Sha1Digest>) -> VmPal {
     VmPal::new("rootkit-detector", rootkit_program(&whitelist))
 }
 

@@ -102,61 +102,6 @@ impl EventLog {
     }
 }
 
-/// Arbaugh-style *secure boot* (paper reference \[4\]): each layer
-/// verifies the next against a known-good policy **before** transferring
-/// control, aborting the boot otherwise.
-///
-/// Contrast with [`EventLog`] trusted boot: secure boot enforces a local
-/// policy but produces nothing an external party can verify ("this
-/// architecture does not allow a system to attest its configuration to
-/// an external party", §7) — which is why the paper's lineage runs
-/// through trusted boot and late launch instead.
-#[derive(Debug, Clone, Default)]
-pub struct SecureBootPolicy {
-    approved: Vec<Sha1Digest>,
-}
-
-/// Outcome of a secure-boot stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SecureBootOutcome {
-    /// The component matched the policy; control transfers.
-    Continue,
-    /// Unknown component; the boot halts here.
-    Abort,
-}
-
-impl SecureBootPolicy {
-    /// Creates a policy trusting exactly the given component images.
-    pub fn new(approved_components: &[&[u8]]) -> Self {
-        SecureBootPolicy {
-            approved: approved_components
-                .iter()
-                .map(|c| Sha1::digest(c))
-                .collect(),
-        }
-    }
-
-    /// The verify-before-load step a boot stage runs on its successor.
-    pub fn check(&self, component: &[u8]) -> SecureBootOutcome {
-        if self.approved.contains(&Sha1::digest(component)) {
-            SecureBootOutcome::Continue
-        } else {
-            SecureBootOutcome::Abort
-        }
-    }
-
-    /// Runs a whole boot chain, returning how many stages loaded before
-    /// an abort (all of them, if the chain is clean).
-    pub fn run_chain(&self, chain: &[&[u8]]) -> (usize, SecureBootOutcome) {
-        for (i, component) in chain.iter().enumerate() {
-            if self.check(component) == SecureBootOutcome::Abort {
-                return (i, SecureBootOutcome::Abort);
-            }
-        }
-        (chain.len(), SecureBootOutcome::Continue)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,23 +195,6 @@ mod tests {
         } else {
             panic!("expected a PCR quote");
         }
-    }
-
-    #[test]
-    fn secure_boot_loads_clean_chains_and_halts_on_tampering() {
-        let policy = SecureBootPolicy::new(&[b"bios-ok", b"loader-ok", b"kernel-ok"]);
-        // Clean chain boots fully.
-        let (stages, outcome) = policy.run_chain(&[b"bios-ok", b"loader-ok", b"kernel-ok"]);
-        assert_eq!((stages, outcome), (3, SecureBootOutcome::Continue));
-        // A tampered kernel halts the boot at stage 2 — locally enforced,
-        // but nothing here is attestable to a remote party.
-        let (stages, outcome) = policy.run_chain(&[b"bios-ok", b"loader-ok", b"kernel-rooted"]);
-        assert_eq!((stages, outcome), (2, SecureBootOutcome::Abort));
-        // Empty policy rejects everything.
-        assert_eq!(
-            SecureBootPolicy::default().check(b"anything"),
-            SecureBootOutcome::Abort
-        );
     }
 
     #[test]

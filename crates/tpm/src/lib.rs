@@ -47,6 +47,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod boot;
@@ -57,20 +58,18 @@ mod pcr;
 mod quote;
 mod seal;
 mod sepcr;
-mod sepcr_set;
 mod timing;
 mod tpm;
 mod transport;
 
-pub use boot::{BootEvent, EventLog, SecureBootOutcome, SecureBootPolicy};
+pub use boot::{BootEvent, EventLog};
 pub use error::TpmError;
 pub use lock::{ShardedTpmArbiter, TpmGrant};
 pub use nvram::Nvram;
-pub use pcr::{PcrBank, PcrIndex, PcrValue, DYNAMIC_PCR_FIRST, DYNAMIC_PCR_LAST, NUM_PCRS};
-pub use quote::{Quote, QuoteSource, WIRE_QUOTE_MAGIC, WIRE_QUOTE_VERSION};
+pub use pcr::{PcrBank, PcrIndex, PcrValue};
+pub use quote::{Quote, QuoteSource};
 pub use seal::SealedBlob;
 pub use sepcr::{SePcrBank, SePcrHandle, SePcrState, SKILL_CONSTANT};
-pub use sepcr_set::{SePcrSetBank, SePcrSetHandle};
 pub use timing::{TpmOp, TpmTimingModel};
 pub use tpm::{KeyStrength, Locality, Timed, Tpm};
 pub use transport::{establish as establish_transport, SealedMessage, TransportEndpoint};

@@ -7,9 +7,6 @@
 //!
 //! * the endorsement/storage key material (modelled as the seed every
 //!   key on this TPM is derived from),
-//! * monotonic counters ("a trusted source of randomness, a monotonic
-//!   counter, and the ability to perform cryptographic operations" are
-//!   what the paper keeps *inside* the TCB for exactly this reason),
 //! * opaque blobs the platform stores by index — the durable session
 //!   engine keeps its write-ahead journal here, as an append-only log
 //!   and the sealed head that pins it, which is what makes crash
@@ -26,40 +23,17 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nvram {
     ek_seed: Vec<u8>,
-    counters: BTreeMap<u32, u64>,
     blobs: BTreeMap<u32, Vec<u8>>,
 }
 
 impl Nvram {
     /// Fresh NVRAM for a TPM manufactured from `seed`: the endorsement
-    /// seed is burned in, all counters read zero, no blobs are stored.
+    /// seed is burned in, no blobs are stored.
     pub fn new(seed: &[u8]) -> Self {
         Nvram {
             ek_seed: seed.to_vec(),
-            counters: BTreeMap::new(),
             blobs: BTreeMap::new(),
         }
-    }
-
-    /// The endorsement seed burned in at manufacture. Key derivation
-    /// (SRK, AIK) starts here, which is why identical seeds rebuild
-    /// identical keys after a reset.
-    pub fn ek_seed(&self) -> &[u8] {
-        &self.ek_seed
-    }
-
-    /// Current value of monotonic counter `id` (zero if never bumped).
-    pub fn counter(&self, id: u32) -> u64 {
-        self.counters.get(&id).copied().unwrap_or(0)
-    }
-
-    /// Increments monotonic counter `id` and returns the new value.
-    /// Counters never decrease and never reset — that is the whole
-    /// point of keeping them in NVRAM.
-    pub fn increment_counter(&mut self, id: u32) -> u64 {
-        let v = self.counters.entry(id).or_insert(0);
-        *v += 1;
-        *v
     }
 
     /// Stores an opaque blob at `index`, replacing any previous
@@ -96,20 +70,8 @@ mod tests {
     #[test]
     fn fresh_nvram_has_seed_zero_counters_no_blobs() {
         let nv = Nvram::new(b"ek-seed");
-        assert_eq!(nv.ek_seed(), b"ek-seed");
-        assert_eq!(nv.counter(0), 0);
-        assert_eq!(nv.counter(42), 0);
+        assert_eq!(nv.ek_seed, b"ek-seed");
         assert!(nv.read_blob(0).is_none());
-    }
-
-    #[test]
-    fn counters_are_monotonic_and_independent() {
-        let mut nv = Nvram::new(b"s");
-        assert_eq!(nv.increment_counter(1), 1);
-        assert_eq!(nv.increment_counter(1), 2);
-        assert_eq!(nv.increment_counter(2), 1);
-        assert_eq!(nv.counter(1), 2);
-        assert_eq!(nv.counter(2), 1);
     }
 
     #[test]
@@ -138,12 +100,9 @@ mod tests {
     #[test]
     fn clone_is_a_faithful_snapshot() {
         let mut nv = Nvram::new(b"s");
-        nv.increment_counter(3);
         nv.store_blob(1, b"journal");
         let snap = nv.clone();
-        nv.increment_counter(3);
         nv.delete_blob(1);
-        assert_eq!(snap.counter(3), 1);
         assert_eq!(snap.read_blob(1), Some(&b"journal"[..]));
     }
 }

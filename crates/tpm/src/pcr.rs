@@ -13,13 +13,13 @@ use sea_crypto::{Sha1, Sha1Digest, SHA1_DIGEST_LEN};
 use crate::error::TpmError;
 
 /// Number of PCRs in a v1.2 TPM.
-pub const NUM_PCRS: u8 = 24;
+const NUM_PCRS: u8 = 24;
 
 /// First dynamically resettable PCR.
-pub const DYNAMIC_PCR_FIRST: u8 = 17;
+pub(crate) const DYNAMIC_PCR_FIRST: u8 = 17;
 
 /// Last dynamically resettable PCR.
-pub const DYNAMIC_PCR_LAST: u8 = 23;
+const DYNAMIC_PCR_LAST: u8 = 23;
 
 /// Index of a PCR (0–23).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -27,7 +27,7 @@ pub struct PcrIndex(pub u8);
 
 impl PcrIndex {
     /// Whether this PCR is dynamically resettable (17–23).
-    pub fn is_dynamic(self) -> bool {
+    fn is_dynamic(self) -> bool {
         (DYNAMIC_PCR_FIRST..=DYNAMIC_PCR_LAST).contains(&self.0)
     }
 }

@@ -96,12 +96,12 @@ pub struct Quote {
 const QUOTE_TAG: &[u8] = b"TPM_QUOTE_v1";
 
 /// Magic prefix of the canonical quote wire format.
-pub const WIRE_QUOTE_MAGIC: [u8; 4] = *b"SEAQ";
+const WIRE_QUOTE_MAGIC: [u8; 4] = *b"SEAQ";
 
 /// Version of the canonical quote wire format. Bump on any change to
 /// the field order or framing; a verifier must reject versions it does
 /// not understand rather than guess.
-pub const WIRE_QUOTE_VERSION: u16 = 2;
+const WIRE_QUOTE_VERSION: u16 = 2;
 
 /// The digest an AIK signs for a quote.
 pub(crate) fn quote_digest(source: &QuoteSource, nonce: &[u8]) -> Sha1Digest {

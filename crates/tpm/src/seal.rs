@@ -83,7 +83,7 @@ impl SealedBlob {
     }
 
     /// The PCR indices this blob is bound to (empty for sePCR blobs).
-    pub fn pcr_selection(&self) -> &[PcrIndex] {
+    pub(crate) fn pcr_selection(&self) -> &[PcrIndex] {
         match &self.selection {
             SealSelection::Pcrs(v) => v,
             SealSelection::SePcr => &[],

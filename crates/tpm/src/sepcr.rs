@@ -204,7 +204,11 @@ impl SePcrBank {
     /// # Errors
     ///
     /// [`TpmError::SePcrWrongState`] outside Exclusive.
-    pub fn rebind_owner(&mut self, handle: SePcrHandle, owner: CpuId) -> Result<(), TpmError> {
+    pub(crate) fn rebind_owner(
+        &mut self,
+        handle: SePcrHandle,
+        owner: CpuId,
+    ) -> Result<(), TpmError> {
         let slot = self.slot_mut(handle)?;
         if slot.state != SePcrState::Exclusive {
             return Err(TpmError::SePcrWrongState(handle));
@@ -236,7 +240,7 @@ impl SePcrBank {
     /// # Errors
     ///
     /// [`TpmError::SePcrWrongState`] outside Quote.
-    pub fn read_for_quote(&self, handle: SePcrHandle) -> Result<PcrValue, TpmError> {
+    pub(crate) fn read_for_quote(&self, handle: SePcrHandle) -> Result<PcrValue, TpmError> {
         let slot = self.slot(handle)?;
         if slot.state != SePcrState::Quote {
             return Err(TpmError::SePcrWrongState(handle));
@@ -285,7 +289,7 @@ impl SePcrBank {
     /// reset analogue of static PCRs zeroing at reboot). Any session
     /// whose quote had not been generated before the cut loses it; the
     /// durable engine's journal is what brings those sessions back.
-    pub fn platform_reset(&mut self) {
+    pub(crate) fn platform_reset(&mut self) {
         for slot in &mut self.slots {
             slot.state = SePcrState::Free;
             slot.value = PcrValue::ZERO;

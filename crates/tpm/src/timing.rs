@@ -157,19 +157,6 @@ impl TpmTimingModel {
         SimDuration::from_ns_f64(bytes as f64 * self.hash_ns_per_byte)
     }
 
-    /// The effective hash rate (ns/byte).
-    pub fn hash_ns_per_byte(&self) -> f64 {
-        self.hash_ns_per_byte
-    }
-
-    /// `TPM_GetRandom` latency scaled to `bytes` (Figure 3 reports the
-    /// 128-byte point; cost scales with requested bytes, minimum one
-    /// internal block).
-    pub fn getrandom_time(&self, bytes: usize) -> SimDuration {
-        let blocks = bytes.max(1).div_ceil(128) as u64;
-        self.mean(TpmOp::GetRandom128) * blocks
-    }
-
     /// A model with every command `factor`× faster (the §5.7 "just make
     /// the TPM faster" ablation).
     ///
@@ -191,7 +178,8 @@ impl TpmTimingModel {
 
     /// Average of the five Figure 3 operation means — the metric by which
     /// the paper calls the Infineon "the best average performance".
-    pub fn figure3_average(&self) -> SimDuration {
+    #[cfg(test)]
+    fn figure3_average(&self) -> SimDuration {
         let total: SimDuration = TpmOp::FIGURE3_OPS.iter().map(|&op| self.mean(op)).sum();
         total / 5
     }
@@ -290,14 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn getrandom_scales_in_blocks() {
-        let m = TpmTimingModel::for_kind(TpmKind::Infineon);
-        assert_eq!(m.getrandom_time(1), m.getrandom_time(128));
-        assert_eq!(m.getrandom_time(129), m.getrandom_time(128) * 2);
-        assert_eq!(m.getrandom_time(0), m.getrandom_time(128));
-    }
-
-    #[test]
     fn sped_up_divides_every_cost() {
         let m = TpmTimingModel::for_kind(TpmKind::Broadcom);
         let fast = m.sped_up(10.0);
@@ -305,7 +285,7 @@ mod tests {
             let ratio = m.mean(op).as_ms_f64() / fast.mean(op).as_ms_f64();
             assert!((ratio - 10.0).abs() < 1e-6, "{op:?}");
         }
-        assert!((fast.hash_ns_per_byte() - m.hash_ns_per_byte() / 10.0).abs() < 1e-9);
+        assert!((fast.hash_ns_per_byte - m.hash_ns_per_byte / 10.0).abs() < 1e-9);
     }
 
     #[test]

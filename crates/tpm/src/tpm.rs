@@ -206,11 +206,6 @@ impl Tpm {
         self.nominal_timing = on;
     }
 
-    /// Whether latencies are pinned to their means.
-    pub fn nominal_timing(&self) -> bool {
-        self.nominal_timing
-    }
-
     /// The public half of the Attestation Identity Key, which an external
     /// verifier obtains through the Privacy-CA certificate chain (§2.1.1).
     pub fn aik_public(&self) -> &RsaPublicKey {
@@ -870,8 +865,7 @@ mod tests {
         let h0 = t.slaunch_measure(b"running", CpuId(0)).unwrap().value;
         let h1 = t.slaunch_measure(b"done", CpuId(1)).unwrap().value;
         t.sepcr_release_to_quote(h1, CpuId(1)).unwrap();
-        // NVRAM carries a counter bump and a stored blob.
-        t.nvram_mut().increment_counter(7);
+        // NVRAM carries a stored blob.
         t.nvram_mut().store_blob(1, b"journal bytes");
 
         t.reboot();
@@ -881,8 +875,7 @@ mod tests {
         assert_eq!(t.sepcrs().free_count(), 2);
         assert!(t.sepcr_extend(h0, CpuId(0), &Sha1::digest(b"x")).is_err());
         assert!(t.sepcr_quote(h1, b"nonce").is_err());
-        // Persistent half: counters and blobs survived.
-        assert_eq!(t.nvram().counter(7), 1);
+        // Persistent half: the blob survived.
         assert_eq!(t.nvram().read_blob(1), Some(&b"journal bytes"[..]));
     }
 
@@ -997,7 +990,7 @@ mod tests {
         // an identical TPM that never faulted.
         let mut clean = tpm_with_sepcrs(2);
         let mut faulty = tpm_with_sepcrs(2);
-        assert!(!clean.nominal_timing());
+        assert!(!clean.nominal_timing);
         let digest = Sha1::digest(b"m");
 
         let mut clean_costs = Vec::new();

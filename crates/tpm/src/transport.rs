@@ -131,7 +131,10 @@ pub fn establish(
 ///
 /// [`TpmError::InvalidBlob`] if the encrypted secret fails OAEP
 /// validation (wrong key, tampered in flight).
-pub fn accept(srk: &RsaPrivateKey, encrypted_secret: &[u8]) -> Result<TransportEndpoint, TpmError> {
+pub(crate) fn accept(
+    srk: &RsaPrivateKey,
+    encrypted_secret: &[u8],
+) -> Result<TransportEndpoint, TpmError> {
     let secret = srk
         .decrypt_oaep(encrypted_secret, &OaepLabel(TRANSPORT_LABEL.to_vec()))
         .map_err(|_| TpmError::InvalidBlob)?;

@@ -132,20 +132,9 @@ SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin scale
 
 echo "== fleet bench: sharded attestation fleet + remote verifier (smoke mode, offline) =="
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin fleet
-# The same fleet must produce byte-identical outcomes under both
-# executors (the debug test binary is already built by the test phases).
-cargo test -q -p minimal-tcb --offline --test verifier_differential \
-  fleet_outcome_is_executor_invariant
 
 echo "== churn bench: fleet under faults, rotation, and adversaries (smoke mode, offline) =="
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin churn
-# Churned outcomes must stay byte-identical across shard counts,
-# executors, and submission permutations, and every adversarial wire
-# must be rejected with a typed reason.
-cargo test -q -p minimal-tcb --offline --test verifier_differential \
-  churned_fleet_is_byte_identical_across_shards_executors_and_orders
-cargo test -q -p minimal-tcb --offline --test verifier_differential \
-  every_adversarial_wire_is_rejected_with_a_typed_reason
 
 echo "== vm bench: measured bytecode PALs, chained vs lookup dispatch (offline) =="
 # The artifact itself asserts chained and lookup runs produce identical
@@ -153,10 +142,6 @@ echo "== vm bench: measured bytecode PALs, chained vs lookup dispatch (offline) 
 # set is byte-identical across 1/4-worker thread pools and the
 # discrete-event executor.
 cargo run -q --release -p sea-bench --offline --bin vm > /dev/null
-# The executed-bytecode PALs must keep reproducing their recorded
-# outputs, key material, signatures and session shapes (the debug test
-# binary is built by the test phases).
-cargo test -q -p minimal-tcb --offline --test vm_differential
 
 echo "== suite + BENCH_suite.json (smoke mode, offline) =="
 SUITE_JSON=target/BENCH_suite.json

@@ -50,6 +50,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use sea_core as core;
 pub use sea_crypto as crypto;
